@@ -34,7 +34,13 @@ from .families import (
     build_member,
     commutator_shortcut,
 )
-from .matgroup import AbelianHom, group_size_cap, intermediate_subgroups
+from .matgroup import (
+    AbelianHom,
+    closure,
+    group_size_cap,
+    intermediate_subgroups,
+    is_conjugate_subgroup,
+)
 from .modgenus import coset_action, genus
 from .modmatrix import ResidueMatrix
 from .opengroup import (
@@ -43,6 +49,7 @@ from .opengroup import (
     full_sl2,
     intersect_sl2,
     minimal_level,
+    sl_count,
     transpose_group,
 )
 from .ratfunc import (
@@ -235,8 +242,7 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     candidates = []
     for K in intermediate_subgroups(Gsl, full_sl2(N), a):
         gens = list(Gimg.generators) + list(K.generators)
-        from .matgroup import closure as _closure
-        Gp = _closure(gens)
+        Gp = closure(gens)
         if intersect_sl2(OpenSubgroup.from_group(Gp)).order != K.order:
             continue
         cand = minimal_level(OpenSubgroup.from_group(Gp))
@@ -278,7 +284,6 @@ def _resolve_cover_map(G: OpenSubgroup, catalog):
     if G.level == 1:
         return IDENTITY_MAP
     if catalog:
-        from .matgroup import is_conjugate_subgroup
         for e in catalog:
             other = e.group
             if other.level != G.level:
@@ -333,13 +338,6 @@ def _bucket(index: int) -> str:
     return EXCLUDED
 
 
-def _sl_count(G: OpenSubgroup, L: int) -> int:
-    img = G.finite_image(L)
-    n = L
-    return sum(1 for e in img.elements
-               if (e[0] * e[3] - e[1] * e[2]) % n == 1 % n)
-
-
 def _member_commutator_index(spec: FamilySpec, member, Mv: int):
     """Index of the member's commutator in its SL2-part, with the
     prime-escape shortcut when available; works on the transposed group
@@ -352,7 +350,7 @@ def _member_commutator_index(spec: FamilySpec, member, Mv: int):
     # index is [member cap SL2 : commutator] counted at a common level
     L = math.lcm(member.group.level, res.commutator.level,
                  res.saturation_level)
-    return _sl_count(member.group, L) // _sl_count(res.commutator, L), \
+    return sl_count(member.group, L) // sl_count(res.commutator, L), \
         "shortcut"
 
 

@@ -20,11 +20,16 @@ from .classifier import (
     classify,
     load_catalog,
 )
-from .errors import AimgError, InvariantViolation, SchemaError
+from .errors import AimgError, InvariantViolation, SchemaError, UnknownLabel
 from .matgroup import FiniteMatrixGroup, closure
 from .modgenus import genus
 from .modmatrix import ResidueMatrix
-from .opengroup import OpenSubgroup, commutator_open, transpose_group
+from .opengroup import (
+    OpenSubgroup,
+    commutator_open,
+    full_gl2,
+    transpose_group,
+)
 from .ratfunc import INFINITY
 from .surjectivity import TruncatedAdelicGroup, surjectivity_check
 
@@ -129,7 +134,6 @@ def _load_truncation(path) -> TruncatedAdelicGroup:
     for p in data.get("primes", []):
         if not isinstance(p, int) or p < 2:
             raise SchemaError(f"bad prime {p!r}")
-        from .opengroup import full_gl2
         parts.append(full_gl2(p))
     for raw in data.get("prime_parts", []):
         parts.append(OpenSubgroup.from_json_dict(raw).mod_level_group())
@@ -160,7 +164,6 @@ def _cmd_condition(args):
             entry = e
             break
     if entry is None:
-        from .errors import UnknownLabel
         raise UnknownLabel(f"no catalog entry labelled {args.label!r}")
     v = _parse_v(args.v)
     cond = entry.conditions
@@ -196,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a catalog")
     p.add_argument("--catalog", help="catalog JSON (default: shipped sample)")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; runs sequentially")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("check-curve", help="membership of j on a curve")

@@ -40,12 +40,17 @@ class NotAHomomorphism(AimgError):
 class ResourceExceeded(AimgError):
     """A configured cap (group size, saturation level) was hit.
 
-    Carries the partial state reached so callers can report it.
+    Carries the partial state reached so callers can report it: the size
+    or level reached (``partial``) and, for a closure, the modulus it ran
+    at and how many generators it had taken in (``modulus``,
+    ``generators``).
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, modulus=None, generators=None):
         super().__init__(message)
         self.partial = partial
+        self.modulus = modulus
+        self.generators = generators
 
 
 class NonIntegralGenus(AimgError):

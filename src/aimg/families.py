@@ -141,8 +141,13 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
     def chi(g):
         return Q.add(spec.eta(g), Q.neg(phi(spec.psi_log(g, Lm))))
 
-    kernel = [g for g in big.elements if chi(g) == Q.identity]
-    chi_all = {chi(g) for g in big.elements}
+    kernel = []
+    chi_all = set()
+    for g in big.elements:
+        c = chi(g)
+        chi_all.add(c)
+        if c == Q.identity:
+            kernel.append(g)
     chi_center = {chi(z) for z in center(big)}
     eligible = chi_center == chi_all
 

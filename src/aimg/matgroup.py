@@ -120,8 +120,10 @@ class _Closure:
                 continue
             if len(seen) >= self.cap:
                 raise ResourceExceeded(
-                    f"group closure exceeded cap {self.cap} at modulus {n}",
-                    partial=len(seen))
+                    f"group closure exceeded cap {self.cap} at modulus {n} "
+                    f"with {len(gens)} generators ({len(seen)} elements "
+                    f"reached)",
+                    partial=len(seen), modulus=n, generators=len(gens))
             seen.add(x)
             elems.append(x)
             for g in gens:

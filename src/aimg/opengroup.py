@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ResourceExceeded, SchemaError
 from .matgroup import (
@@ -20,9 +20,10 @@ from .matgroup import (
     derived_subgroup,
     gl2_order,
     sl2_order,
+    _closure_tuples,
     _prime_factors,
 )
-from .modmatrix import ResidueMatrix, crt_combine
+from .modmatrix import ResidueMatrix, crt_combine, tdet
 
 __all__ = [
     "OpenSubgroup",
@@ -31,6 +32,7 @@ __all__ = [
     "full_gl2",
     "intersect_sl2",
     "det_image",
+    "sl_count",
     "transpose_group",
     "minimal_level",
     "commutator_open",
@@ -129,10 +131,13 @@ class OpenSubgroup:
 
     @classmethod
     def from_group(cls, g: FiniteMatrixGroup) -> "OpenSubgroup":
-        return cls(g.modulus, g.generators)
+        G = cls(g.modulus, g.generators)
+        # g already is the mod-level image (and may be materialized)
+        G.__dict__["_mod_group"] = g
+        return G
 
-    def mod_level_group(self) -> FiniteMatrixGroup:
-        """The mod-level image (as a finite matrix group)."""
+    @cached_property
+    def _mod_group(self) -> FiniteMatrixGroup:
         if self.level == 1:
             return full_gl2(1)
         if not self.gens:
@@ -140,13 +145,29 @@ class OpenSubgroup:
                 self.level, [ResidueMatrix.identity(self.level)])
         return FiniteMatrixGroup(self.level, self.gens)
 
+    def mod_level_group(self) -> FiniteMatrixGroup:
+        """The mod-level image (as a finite matrix group), built once per
+        OpenSubgroup."""
+        return self._mod_group
+
     def finite_image(self, L: int) -> FiniteMatrixGroup:
-        """The mod-L image of the open subgroup, for level | L.
+        """The mod-L image of the open subgroup, for level | L: the full
+        preimage of the mod-level image.
 
         Generators: invertible lifts of the presented generators (CRT'd
         with the identity at primes not dividing the level), generators of
         the kernel of reduction L -> level at the level's primes, and full
         GL2 generators at the new primes.
+
+        The kernel generators are I + m*E_ij.  For p^e || m with p odd or
+        e >= 2 they generate the whole kernel at p, since its Frattini
+        subgroup is the next layer.  For 2 || m they do not: mod 8,
+        (I + 2X)^2 = I + 4(X + X^2), and X + X^2 has trace 0 mod 2, as do
+        commutators, so the group they generate meets the second 2-adic
+        layer only in trace-zero matrices and its determinants miss
+        5 mod 8.  When 8 divides L the second layer I + 2m*E_ij is
+        therefore added too; from 2-exponent 2 on, each layer is the
+        square of the one before.
         """
         m = self.level
         if L % m != 0:
@@ -164,10 +185,14 @@ class OpenSubgroup:
             gens.append(_crt_with_identity(lift_a, B))
         if A > m:
             # kernel of GL2(Z/A) -> GL2(Z/m)
-            for (a, b, c, d) in ((1, 0, 0, 0), (0, 1, 0, 0),
-                                 (0, 0, 1, 0), (0, 0, 0, 1)):
-                k = ResidueMatrix(A, 1 + m * a, m * b, m * c, 1 + m * d)
-                gens.append(_crt_with_identity(k, B))
+            steps = [m]
+            if m % 4 == 2 and A % (4 * m) == 0:
+                steps.append(2 * m)
+            for s in steps:
+                for (a, b, c, d) in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                     (0, 0, 1, 0), (0, 0, 0, 1)):
+                    k = ResidueMatrix(A, 1 + s * a, s * b, s * c, 1 + s * d)
+                    gens.append(_crt_with_identity(k, B))
         if B > 1:
             for g in gl2_generator_matrices(B):
                 gens.append(crt_combine(ResidueMatrix.identity(A), g))
@@ -245,11 +270,35 @@ class DetImage:
         return len(self.values) == phi
 
 
-def det_image(G: OpenSubgroup) -> DetImage:
-    grp = G.mod_level_group()
+def _det_values(G: OpenSubgroup) -> frozenset:
+    """det G(m) for m the level: the subgroup of (Z/m)^x spanned by the
+    generator determinants, closed as diag(det g, 1)."""
     n = G.level
-    return DetImage(n, frozenset((e[0] * e[3] - e[1] * e[2]) % n
-                                 for e in grp.elements))
+    elems, _ = _closure_tuples(
+        [(tdet(g.entries, n), 0, 0, 1) for g in G.gens], n)
+    return frozenset(e[0] for e in elems)
+
+
+def det_image(G: OpenSubgroup) -> DetImage:
+    return DetImage(G.level, _det_values(G))
+
+
+def sl_count(G: OpenSubgroup, L: int) -> int:
+    """|G(L) ∩ SL2(Z/L)| for level m | L, without materializing G(L):
+
+        |G(m)| / |det G(m)| * |SL2(Z/L)| / |SL2(Z/m)|.
+
+    G(L) is the full preimage of G(m), so |G(L)| = |G(m)| * |K| with K the
+    kernel of GL2(Z/L) -> GL2(Z/m).  det maps K onto the kernel of
+    (Z/L)^x -> (Z/m)^x (it contains diag(u, 1)), so det G(L) is the full
+    preimage of det G(m) too.  Dividing |G(L)| by |det G(L)| and using
+    |GL2(Z/n)| = phi(n) * |SL2(Z/n)| leaves the formula.
+    """
+    m = G.level
+    if L % m != 0:
+        raise ValueError(f"level {m} does not divide target modulus {L}")
+    return (G.mod_level_group().order // len(_det_values(G))
+            * sl2_order(L) // sl2_order(m))
 
 
 def transpose_group(G: OpenSubgroup) -> OpenSubgroup:
@@ -298,17 +347,13 @@ class CommutatorResult:
         return self.index_in_sl > 2
 
 
-def _sl_count(grp: FiniteMatrixGroup, n: int) -> int:
-    return sum(1 for e in grp.elements
-               if (e[0] * e[3] - e[1] * e[2]) % n == 1 % n)
-
-
 def _part_data(G: OpenSubgroup, L: int, cache: dict):
+    """(D(L), [G(L) ∩ SL2 : D(L)]) with D(L) the derived subgroup of
+    G(L).  D(L) is closed from G(L)'s generators and the SL2-part is
+    counted by sl_count, so neither enumerates G(L)."""
     if L not in cache:
-        img = G.finite_image(L)
-        der = derived_subgroup(img)
-        sl = _sl_count(img, L)
-        cache[L] = (img, der, sl, sl // der.order)
+        der = derived_subgroup(G.finite_image(L))
+        cache[L] = (der, sl_count(G, L) // der.order)
     return cache[L]
 
 
@@ -331,13 +376,13 @@ def _ramp_part(G: OpenSubgroup, start_level: int, primes):
                     f"commutator saturation cap {p}^{SATURATION_EXPONENT_CAP}"
                     f" reached", partial=L)
             Lp = L * p
-            _, d0, _, idx0 = _part_data(G, L, cache)
-            _, d1, _, idx1 = _part_data(G, Lp, cache)
+            d0, idx0 = _part_data(G, L, cache)
+            d1, idx1 = _part_data(G, Lp, cache)
             kernel = sl2_order(Lp) // sl2_order(L)
             if idx0 == idx1 and d1.order == d0.order * kernel:
                 break
             L = Lp
-    _, der, _, idx = _part_data(G, L, cache)
+    der, idx = _part_data(G, L, cache)
     return L, der, idx
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import math
 
-from .errors import NotASubgroup
+from .errors import NotASubgroup, ResourceExceeded
 from .matgroup import (
     FiniteMatrixGroup,
     _prime_factors,
@@ -89,7 +89,6 @@ def quo_simple_quotients(G: FiniteMatrixGroup) -> set:
     ("simple", order).
     """
     if G.order > group_size_cap():
-        from .errors import ResourceExceeded
         raise ResourceExceeded(f"group order {G.order} exceeds cap")
     P = G
     while True:

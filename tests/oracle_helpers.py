@@ -4,6 +4,7 @@ Everything here is written from first principles on integer tuples and
 deliberately avoids the library's own group machinery.
 """
 
+import functools
 import itertools
 import math
 
@@ -38,6 +39,20 @@ def bfs_closure(gens, n):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+@functools.lru_cache(maxsize=None)
+def gl2_elements(n):
+    """All of GL2(Z/n) as tuples, by scanning every 4-tuple mod n."""
+    return tuple(t for t in itertools.product(range(n), repeat=4)
+                 if math.gcd((t[0] * t[3] - t[1] * t[2]) % n, n) == 1)
+
+
+def preimage(gens, m, L):
+    """The full preimage in GL2(Z/L) of the closure of gens mod m, for
+    m | L: every invertible tuple mod L whose reduction lies in it."""
+    image = bfs_closure(gens, m)
+    return {t for t in gl2_elements(L) if tuple(v % m for v in t) in image}
 
 
 def coset_permutations(h_elems, n):

@@ -27,7 +27,7 @@ from aimg.matgroup import (
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, commutator_open
 
-from oracle_helpers import bfs_closure, mat_mul
+from oracle_helpers import bfs_closure, mat_mul, preimage
 
 
 def RM(t, n):
@@ -147,6 +147,41 @@ def test_member_kernel_law_randomized():
             assert m.index_in_g0 == big.order // len(eset)
             checked += 1
     assert checked >= 25
+
+
+def test_mod2_borel_conductor8_members_match_brute_force():
+    # member level 8 over a level-2 base: the level where the first
+    # kernel layer alone generates only half of G0's preimage
+    spec = FamilySpec(OpenSubgroup(2, (RM((1, 1, 0, 1), 2),)),
+                      OpenSubgroup(2, ()), 8)
+    L, base, M = spec.member_level, spec.base_level, spec.modulus
+    g0 = preimage([(1, 1, 0, 1)], 2, L)
+    assert len(g0) == 512
+    hset = preimage([], 2, base)
+
+    def label(x):
+        return min(mat_mul(x, h, base) for h in hset)
+
+    A, Q = spec.a_group, spec.quotient
+    homs = enumerate_homs(A, Q)
+    assert len(homs) == 4
+    for phi in homs:
+        # chi(u) as a coset label, from the basis labels of A and G0/H
+        chi = {}
+        for vec in A.elements():
+            u = math.prod(pow(b, k, M) for b, k in zip(A.basis, vec)) % M
+            rep = (1 % base, 0, 0, 1 % base)
+            for b, k in zip(Q.basis, phi(vec)):
+                for _ in range(k):
+                    rep = mat_mul(rep, b, base)
+            chi[u] = label(rep)
+        assert sorted(chi) == [1, 3, 5, 7]
+        want = {g for g in g0
+                if label(tuple(v % base for v in g))
+                == chi[(g[0] * g[3] - g[1] * g[2]) % M]}
+        member = build_member(spec, phi)
+        assert member._eset == want
+        assert member.index_in_g0 == len(g0) // len(want)
 
 
 def test_dissolve_eligible_members_dissolve():

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aimg.errors import SchemaError
+from aimg.errors import ResourceExceeded, SchemaError
 from aimg.matgroup import FiniteMatrixGroup, closure
-from aimg.modmatrix import ResidueMatrix
+from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
     commutator_index_class,
@@ -18,8 +19,11 @@ from aimg.opengroup import (
     intersect_sl2,
     minimal_level,
     sl2_order,
+    sl_count,
     transpose_group,
 )
+
+from oracle_helpers import bfs_closure, gl2_elements, mat_mul, preimage
 
 
 def RM(t, n):
@@ -47,6 +51,33 @@ def test_finite_image_is_full_preimage():
     # new prime: mod 6 image picks up the full GL2(Z/3) factor
     img6 = A3_PREIMAGE.finite_image(6)
     assert img6.order == 3 * gl2_order(3)
+
+
+def _oracle_preimage(G, L):
+    return preimage([g.entries for g in G.gens], G.level, L)
+
+
+def test_finite_image_matches_brute_force_preimage():
+    # 2 || level with 8 | L: the first kernel layer alone generates only
+    # half of the preimage (determinants 1 and 3 mod 8)
+    borel = OpenSubgroup(2, (ResidueMatrix(2, 1, 1, 0, 1),))
+    for L, order in ((4, 32), (8, 512), (16, 8192), (24, 24576)):
+        img = borel.finite_image(L)
+        assert img.order == order
+        assert img.element_set == _oracle_preimage(borel, L)
+    # a level-6 group of order 48: S3 mod 2 times the normalizer of the
+    # split Cartan mod 3
+    gens = [crt_combine(RM(a, 2), RM(b, 3)) for a, b in (
+        ((1, 1, 0, 1), (1, 0, 0, 1)), ((0, 1, 1, 0), (1, 0, 0, 1)),
+        ((1, 0, 0, 1), (1, 0, 0, 2)), ((1, 0, 0, 1), (2, 0, 0, 1)),
+        ((1, 0, 0, 1), (0, 1, 1, 0)))]
+    G6 = OpenSubgroup(6, tuple(gens))
+    assert G6.mod_level_group().order == 48
+    for L in (12, 24):
+        img = G6.finite_image(L)
+        assert img.order == 48 * gl2_order(L) // gl2_order(6)
+        assert img.element_set == _oracle_preimage(G6, L)
+    assert G6.finite_image(24).order == 12288
 
 
 def test_minimal_level():
@@ -150,7 +181,67 @@ def test_commutator_index_class_kinds():
 
 
 def test_cap_order_env(monkeypatch):
-    from aimg.errors import ResourceExceeded
     monkeypatch.setenv("AIMG_CAP_ORDER", "100")
     with pytest.raises(ResourceExceeded):
         A3_PREIMAGE.finite_image(8).elements
+
+
+def test_cap_error_carries_closure_state(monkeypatch):
+    monkeypatch.setenv("AIMG_CAP_ORDER", "100")
+    img = A3_PREIMAGE.finite_image(8)
+    with pytest.raises(ResourceExceeded) as info:
+        img.elements
+    err = info.value
+    assert err.modulus == 8
+    assert 1 <= err.generators <= len(img.generator_tuples)
+    assert err.partial == 100
+    assert "modulus 8" in str(err)
+    assert f"{err.generators} generators" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random groups, against the brute-force preimage
+
+
+@st.composite
+def open_subgroups(draw, levels):
+    """A random group: 1-3 random generators at a level drawn from
+    ``levels``."""
+    m = draw(st.sampled_from(levels))
+    elems = st.sampled_from(gl2_elements(m))
+    gens = draw(st.lists(elems, min_size=1, max_size=3))
+    return OpenSubgroup(m, tuple(RM(t, m) for t in gens))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 13)), data=st.data())
+def test_sl_count_matches_brute_force(G, data):
+    L = data.draw(st.sampled_from(range(G.level, 25, G.level)))
+    det1 = sum(1 for t in _oracle_preimage(G, L)
+               if (t[0] * t[3] - t[1] * t[2]) % L == 1 % L)
+    assert sl_count(G, L) == det1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 13)))
+def test_det_image_matches_brute_force(G):
+    m = G.level
+    elems = bfs_closure([g.entries for g in G.gens], m)
+    assert det_image(G).values == {(t[0] * t[3] - t[1] * t[2]) % m
+                                   for t in elems}
+
+
+def _conjugate(G, g):
+    m = G.level
+    gi = next(x for x in gl2_elements(m)
+              if mat_mul(g, x, m) == (1 % m, 0, 0, 1 % m))
+    return OpenSubgroup(m, tuple(
+        RM(mat_mul(mat_mul(g, x.entries, m), gi, m), m) for x in G.gens))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(G=open_subgroups((2, 3, 4, 6)), data=st.data())
+def test_commutator_index_is_conjugation_invariant(G, data):
+    g = data.draw(st.sampled_from(gl2_elements(G.level)))
+    assert commutator_open(_conjugate(G, g)).index_in_sl == \
+        commutator_open(G).index_in_sl
