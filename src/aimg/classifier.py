@@ -41,8 +41,7 @@ from .matgroup import (
     intermediate_subgroups,
     is_conjugate_subgroup,
 )
-from .modgenus import coset_action, genus
-from .modmatrix import ResidueMatrix
+from .modgenus import genus
 from .opengroup import (
     OpenSubgroup,
     commutator_open,

@@ -21,9 +21,7 @@ from .classifier import (
     load_catalog,
 )
 from .errors import AimgError, InvariantViolation, SchemaError, UnknownLabel
-from .matgroup import FiniteMatrixGroup, closure
 from .modgenus import genus
-from .modmatrix import ResidueMatrix
 from .opengroup import (
     OpenSubgroup,
     commutator_open,

@@ -29,7 +29,6 @@ from .matgroup import (
 )
 from .modmatrix import tdet
 from .opengroup import (
-    CommutatorResult,
     OpenSubgroup,
     commutator_open,
     minimal_level,

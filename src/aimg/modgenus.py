@@ -1,17 +1,30 @@
 """Genus of the modular curve attached to an open subgroup of GL2(Zhat).
 
 The curve is a quotient of the upper half plane by the SL2(Z)-preimage of
-the SL2-part of ±G, so everything reduces to the permutation action of
-S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] on right cosets mod the level.
+H = the SL2-part of ±G, so everything reduces to the right action of
+S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] on the cosets H\\SL2(Z/N).  The
+genus is counted, not read off that action: with d = [SL2(Z/N) : H],
+
+- the fixed points of g in {S, ST} number d * |Cl(g) ∩ H| / |Cl(g)|,
+  since Hx is fixed by g iff x g x^-1 lies in H (Cl(g) is the conjugacy
+  class of g in SL2(Z/N));
+- the cusps, the <T>-orbits on H\\SL2, are the H-orbits on SL2/<T>, that
+  is on the primitive vectors of (Z/N)^2 (the first columns).
+
+Neither SL2(Z/N) nor G(N) is enumerated; ``coset_action`` still builds
+the explicit permutations.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NonIntegralGenus
-from .matgroup import FiniteMatrixGroup
-from .modmatrix import tmul
+from .matgroup import sl2_order
+from .modmatrix import tinv, tmul
 from .opengroup import OpenSubgroup, full_sl2, intersect_sl2
 
 __all__ = ["CosetAction", "GenusData", "coset_action", "genus"]
@@ -30,24 +43,6 @@ class CosetAction:
     perm_s: tuple
     perm_t: tuple
     perm_st: tuple
-
-
-def _fixed_points(perm) -> int:
-    return sum(1 for i, j in enumerate(perm) if i == j)
-
-
-def _cycle_count(perm) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
 
 
 def coset_action(G: OpenSubgroup) -> CosetAction:
@@ -88,17 +83,75 @@ class GenusData:
     e_inf: int
 
 
+def _orbit(x, moves) -> set:
+    """The orbit of x under the group generated by the bijections
+    ``moves`` of a finite set."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_class(g: tuple, n: int) -> frozenset:
+    """The class of g in SL2(Z/n): its orbit under conjugation by S and T,
+    which generate SL2(Z/n)."""
+    moves = [lambda x, s=s, si=tinv(s, n): tmul(tmul(s, x, n), si, n)
+             for s in ((0, n - 1, 1, 0), (1, 1, 0, 1))]
+    return frozenset(_orbit(g, moves))
+
+
+def _fixed_points(g: tuple, hset, degree: int, n: int) -> int:
+    """Fixed points of g on the d right cosets of H in SL2(Z/n):
+    d * |Cl(g) ∩ H| / |Cl(g)|."""
+    cls = _conjugacy_class(g, n)
+    hits = degree * sum(1 for x in cls if x in hset)
+    if hits % len(cls) != 0:
+        raise NonIntegralGenus(
+            f"fixed points of {g} mod {n}: {hits}/{len(cls)} is not an "
+            f"integer")
+    return hits // len(cls)
+
+
+def _cusp_count(gens, n: int) -> int:
+    """Orbits of the group generated by gens on the primitive vectors of
+    (Z/n)^2."""
+    moves = [lambda v, g=g: ((g[0] * v[0] + g[1] * v[1]) % n,
+                             (g[2] * v[0] + g[3] * v[1]) % n) for g in gens]
+    seen = set()
+    orbits = 0
+    for v in itertools.product(range(n), repeat=2):
+        if v not in seen and math.gcd(v[0], v[1], n) == 1:
+            orbits += 1
+            seen |= _orbit(v, moves)
+    return orbits
+
+
 def genus(G: OpenSubgroup) -> GenusData:
     """Genus of the curve, with the (d, e2, e3, eInf) breakdown.
 
-    g = 1 + d/12 - e2/4 - e3/3 - eInf/2 where e2, e3 count fixed points of
-    the S and ST permutations and eInf counts T-cycles (cusps).
+    g = 1 + d/12 - e2/4 - e3/3 - eInf/2 where e2, e3 count the cosets of
+    the SL2-part of ±G fixed by S and ST and eInf counts T-orbits (cusps);
+    see the module docstring for how each is counted.
     """
-    act = coset_action(G)
-    d = act.degree
-    e2 = _fixed_points(act.perm_s)
-    e3 = _fixed_points(act.perm_st)
-    e_inf = _cycle_count(act.perm_t)
+    n = G.level
+    if n == 1:
+        return GenusData(0, 1, 1, 1, 1)
+    H = intersect_sl2(G)
+    minus_i = (n - 1, 0, 0, n - 1)
+    hset = H.element_set
+    if minus_i not in hset:
+        hset = hset | {tmul(minus_i, h, n) for h in hset}
+    d = sl2_order(n) // len(hset)
+    e2 = _fixed_points((0, n - 1, 1, 0), hset, d, n)  # S
+    e3 = _fixed_points((0, n - 1, 1, 1), hset, d, n)  # ST
+    e_inf = _cusp_count(H.generator_tuples + (minus_i,), n)
     num = 12 + d - 3 * e2 - 4 * e3 - 6 * e_inf
     if num % 12 != 0 or num < 0:
         raise NonIntegralGenus(

@@ -11,6 +11,7 @@ GL2(Zhat).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -20,10 +21,10 @@ from .matgroup import (
     derived_subgroup,
     gl2_order,
     sl2_order,
-    _closure_tuples,
+    _Closure,
     _prime_factors,
 )
-from .modmatrix import ResidueMatrix, crt_combine, tdet
+from .modmatrix import TID, ResidueMatrix, crt_combine, tdet, tinv, tmul
 
 __all__ = [
     "OpenSubgroup",
@@ -249,13 +250,41 @@ class OpenSubgroup:
         return cls(level, tuple(gens))
 
 
-def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
-    """Mod-level image of G ∩ SL2(Zhat): determinant-1 elements of the
-    mod-level closure."""
-    grp = G.mod_level_group()
+def _det_transversal(G: OpenSubgroup) -> dict:
+    """u -> t_u for u in det G(m), m the level: a BFS over the determinant
+    group from the generators, with t_u a word in the generators of
+    determinant u (the identity for u = 1)."""
     n = G.level
-    elems = [e for e in grp.elements if (e[0] * e[3] - e[1] * e[2]) % n == 1 % n]
-    return FiniteMatrixGroup.from_elements(elems, n)
+    one = 1 % n
+    trans = {one: tuple(v % n for v in TID)}
+    queue = deque(trans)
+    while queue:
+        u = queue.popleft()
+        for g in G.gens:
+            v = u * tdet(g.entries, n) % n
+            if v not in trans:
+                trans[v] = tmul(trans[u], g.entries, n)
+                queue.append(v)
+    return trans
+
+
+def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
+    """Mod-level image of G ∩ SL2(Zhat), the kernel of det on G(m),
+    closed from the Schreier generators t_u g t_{u det g}^-1 over the
+    determinant transversal, so G(m) itself is never enumerated."""
+    n = G.level
+    trans = _det_transversal(G)
+    inverse = {u: tinv(t, n) for u, t in trans.items()}
+    clo = _Closure(n)
+    for u, t in trans.items():
+        for g in G.gens:
+            x = g.entries
+            back = inverse[u * tdet(x, n) % n]
+            clo.add_gen(tmul(tmul(t, x, n), back, n))
+    sub = FiniteMatrixGroup(n, clo.gens)
+    sub._elements = tuple(clo.elems)
+    sub._eset = frozenset(clo.seen)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -271,12 +300,9 @@ class DetImage:
 
 
 def _det_values(G: OpenSubgroup) -> frozenset:
-    """det G(m) for m the level: the subgroup of (Z/m)^x spanned by the
-    generator determinants, closed as diag(det g, 1)."""
-    n = G.level
-    elems, _ = _closure_tuples(
-        [(tdet(g.entries, n), 0, 0, 1) for g in G.gens], n)
-    return frozenset(e[0] for e in elems)
+    """det G(m) for m the level: the keys of the determinant
+    transversal."""
+    return frozenset(_det_transversal(G))
 
 
 def det_image(G: OpenSubgroup) -> DetImage:

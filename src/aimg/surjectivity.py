@@ -8,7 +8,7 @@ G/[G,G]; here both conditions are checked at a finite truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 

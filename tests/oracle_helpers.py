@@ -104,6 +104,51 @@ def riemann_hurwitz_genus(h_elems, n):
     return (two_g_minus_2 + 2) // 2
 
 
+def _primes_dividing(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def x0_genus(N):
+    """g(X0(N)) = 1 + mu/12 - nu2/4 - nu3/3 - cusps/2 with the classical
+    counts: mu = N prod (1 + 1/p), nu2 = prod (1 + (-1/p)) unless 4 | N,
+    nu3 = prod (1 + (-3/p)) unless 9 | N, cusps = sum phi(gcd(d, N/d))."""
+    primes = _primes_dividing(N)
+    mu = N
+    for p in primes:
+        mu = mu // p * (p + 1)
+    nu2 = 0 if N % 4 == 0 else math.prod(
+        1 if p == 2 else 1 + (1 if p % 4 == 1 else -1) for p in primes)
+    nu3 = 0 if N % 9 == 0 else math.prod(
+        1 if p == 3 else 1 + (1 if p % 3 == 1 else -1) for p in primes)
+    cusps = sum(_phi(math.gcd(d, N // d))
+                for d in range(1, N + 1) if N % d == 0)
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusps
+    assert twelve_g % 12 == 0
+    return twelve_g // 12
+
+
+def x1_genus(N):
+    """g(X1(N)): 0 for N <= 4; otherwise Gamma1(N) has no elliptic
+    points, index mu = N^2/2 prod (1 - 1/p^2) in PSL2(Z) and
+    sum phi(d) phi(N/d) / 2 cusps."""
+    if N <= 4:
+        return 0
+    mu = N * N
+    for p in _primes_dividing(N):
+        mu = mu // (p * p) * (p * p - 1)
+    mu //= 2
+    cusps = sum(_phi(d) * _phi(N // d)
+                for d in range(1, N + 1) if N % d == 0) // 2
+    twelve_g = 12 + mu - 6 * cusps
+    assert twelve_g % 12 == 0
+    return twelve_g // 12
+
+
 def squarefree_kernel(n):
     """Squarefree part of a nonzero integer by trial division."""
     sign = -1 if n < 0 else 1

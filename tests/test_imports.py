@@ -1,0 +1,41 @@
+"""Every module-level import in the package is used (a stdlib-ast check,
+since no linter is a test dependency)."""
+
+import ast
+import pathlib
+
+import aimg
+
+PACKAGE = pathlib.Path(aimg.__file__).parent
+
+
+def _bound_names(tree):
+    """Names bound by the module-level imports, except __future__."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def test_no_unused_module_level_imports():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _exported_names(tree)
+        names = [n for n in _bound_names(tree) if n not in used]
+        if names:
+            unused[path.name] = names
+    assert not unused, f"unused module-level imports: {unused}"

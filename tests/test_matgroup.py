@@ -76,10 +76,10 @@ def test_full_group_orders_match_formula():
 
 
 def derived_oracle(elems, n):
-    comms = [mul(mul(a, b, n),
-                 mul(inv_oracle(a, n), inv_oracle(b, n), n), n)
-             for a in elems for b in elems]
-    return closure_oracle(set(comms), n)
+    inv = {a: inv_oracle(a, n) for a in elems}
+    comms = {mul(mul(a, b, n), mul(inv[a], inv[b], n), n)
+             for a in elems for b in elems}
+    return closure_oracle(comms, n)
 
 
 def inv_oracle(x, n):

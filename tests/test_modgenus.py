@@ -1,11 +1,20 @@
-"""Modular-curve genus against a Riemann-Hurwitz oracle."""
+"""Modular-curve genus against a Riemann-Hurwitz oracle, the explicit
+coset permutations and the classical closed forms for X0(N), X1(N)."""
+
+import math
 
 from aimg.matgroup import FiniteMatrixGroup, all_subgroups_up_to_conjugacy
 from aimg.modgenus import coset_action, genus
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, full_sl2
 
-from oracle_helpers import riemann_hurwitz_genus
+from oracle_helpers import (
+    coset_permutations,
+    cycle_count,
+    riemann_hurwitz_genus,
+    x0_genus,
+    x1_genus,
+)
 
 
 def open_subgroup_of(elems, n):
@@ -55,3 +64,41 @@ def test_genus_formula_consistency():
             gd = genus(open_subgroup_of(sub, N))
             num = 12 + gd.degree - 3 * gd.e2 - 4 * gd.e3 - 6 * gd.e_inf
             assert num == 12 * gd.genus
+
+
+def test_breakdown_matches_coset_permutations():
+    # (d, e2, e3, e_inf) read off the explicit permutations: fixed points
+    # of S and ST, cycles of T
+    for N in range(1, 7):
+        for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
+            perm_s, perm_t, perm_st = coset_permutations(sub, N)
+            fixed = [sum(1 for i, j in enumerate(p) if i == j)
+                     for p in (perm_s, perm_st)]
+            gd = genus(open_subgroup_of(sub, N))
+            assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
+                (len(perm_s), fixed[0], fixed[1], cycle_count(perm_t)), \
+                (N, sorted(sub))
+
+
+def modular_curve_group(curve, N):
+    """The mod-N group of X0(N) (Borel) or X1(N) ([[1, *], [0, *]])."""
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    gens = [(1, 1, 0, 1)] + [(1, 0, 0, u) for u in units]
+    if curve == "X0":
+        gens += [(u, 0, 0, 1) for u in units]
+    return OpenSubgroup(N, tuple(ResidueMatrix.from_tuple(t, N)
+                                 for t in gens))
+
+
+def test_x0_x1_closed_forms():
+    for N in range(2, 61):
+        assert genus(modular_curve_group("X0", N)).genus == x0_genus(N), N
+        assert genus(modular_curve_group("X1", N)).genus == x1_genus(N), N
+
+
+def test_genus_never_closes_the_whole_group(monkeypatch):
+    # G(120) and SL2(Z/120) are far above the cap; the SL2-parts of
+    # +-Gamma0(120) and +-Gamma1(120) (3840 and 240 elements) are not
+    monkeypatch.setenv("AIMG_CAP_ORDER", "10000")
+    assert genus(modular_curve_group("X0", 120)).genus == 17
+    assert genus(modular_curve_group("X1", 120)).genus == 289

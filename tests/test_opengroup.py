@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from aimg.errors import ResourceExceeded, SchemaError
 from aimg.matgroup import FiniteMatrixGroup, closure
+from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
@@ -204,12 +205,12 @@ def test_cap_error_carries_closure_state(monkeypatch):
 
 
 @st.composite
-def open_subgroups(draw, levels):
-    """A random group: 1-3 random generators at a level drawn from
-    ``levels``."""
+def open_subgroups(draw, levels, min_gens=1):
+    """A random group: min_gens to 3 random generators at a level drawn
+    from ``levels``."""
     m = draw(st.sampled_from(levels))
     elems = st.sampled_from(gl2_elements(m))
-    gens = draw(st.lists(elems, min_size=1, max_size=3))
+    gens = draw(st.lists(elems, min_size=min_gens, max_size=3))
     return OpenSubgroup(m, tuple(RM(t, m) for t in gens))
 
 
@@ -220,6 +221,15 @@ def test_sl_count_matches_brute_force(G, data):
     det1 = sum(1 for t in _oracle_preimage(G, L)
                if (t[0] * t[3] - t[1] * t[2]) % L == 1 % L)
     assert sl_count(G, L) == det1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 25), min_gens=0))
+def test_intersect_sl2_matches_brute_force(G):
+    m = G.level
+    elems = bfs_closure([g.entries for g in G.gens], m)
+    assert intersect_sl2(G).element_set == {
+        t for t in elems if (t[0] * t[3] - t[1] * t[2]) % m == 1 % m}
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -245,3 +255,16 @@ def test_commutator_index_is_conjugation_invariant(G, data):
     g = data.draw(st.sampled_from(gl2_elements(G.level)))
     assert commutator_open(_conjugate(G, g)).index_in_sl == \
         commutator_open(G).index_in_sl
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 13)), data=st.data())
+def test_genus_is_conjugation_invariant(G, data):
+    g = data.draw(st.sampled_from(gl2_elements(G.level)))
+    assert genus(_conjugate(G, g)) == genus(G)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 13)))
+def test_genus_is_transpose_invariant(G):
+    assert genus(transpose_group(G)) == genus(G)
