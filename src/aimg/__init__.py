@@ -1,159 +1,49 @@
 """Computational machinery for genus-0 adelic Galois image classification:
 finite GL2 matrix-group algebra, open subgroups of GL2(Zhat), modular-curve
 genus, the family-of-groups construction, an exact rational-function
-calculus, parameter conditions and the adelic surjectivity criterion."""
+calculus, parameter conditions and the adelic surjectivity criterion.
 
-from .modmatrix import ResidueMatrix, crt_combine, parse_matrix
+The package level re-exports what the demos and the README example use;
+everything else is imported from its module (``aimg.matgroup``,
+``aimg.families``, ...)."""
+
+from .modmatrix import ResidueMatrix
 from .matgroup import (
-    AbelianHom,
-    FiniteAbelianGroup,
     FiniteMatrixGroup,
-    abelian_invariants,
     all_subgroups_up_to_conjugacy,
-    closure,
-    derived_subgroup,
-    enumerate_homs,
-    index_and_cosets,
-    is_conjugate_subgroup,
-    quotient_group,
-    unit_group,
-)
-from .opengroup import (
-    CommutatorResult,
-    OpenSubgroup,
-    commutator_index_class,
-    commutator_open,
-    det_image,
-    full_gl2,
-    full_sl2,
-    gl2_order,
-    intersect_sl2,
-    minimal_level,
     sl2_order,
-    transpose_group,
 )
-from .modgenus import CosetAction, GenusData, coset_action, genus
-from .families import (
-    FamilyMember,
-    FamilySpec,
-    NOT_APPLICABLE,
-    build_member,
-    check_dissolve,
-    commutator_shortcut,
-    enumerate_members,
-)
-from .ratfunc import (
-    FAMILY_MAPS,
-    INFINITY,
-    RationalMap,
-    compose,
-    evaluate,
-    instantiate,
-    moebius_equivalent,
-    rational_fibers,
-    solve_left_factor,
-)
+from .opengroup import OpenSubgroup, commutator_open, full_sl2
+from .modgenus import genus
 from .arithcond import (
     DEGREE4_NONTRIVIAL,
     DEGREE4_TRIVIAL,
-    NOT_DEGREE4,
-    VCondition,
     eval_condition,
-    is_rational_square,
-    nested_radical_min_poly,
     parse_vcondition,
     quad_cyc_trivial,
     quartic_condition,
     squarefree_part,
 )
-from .surjectivity import (
-    SurjectivityVerdict,
-    TruncatedAdelicGroup,
-    quo_disjointness,
-    quo_simple_quotients,
-    surjectivity_check,
-)
-from .classifier import (
-    CatalogEntry,
-    ClassificationReport,
-    check_curve,
-    classify,
-    level_bound_b,
-    load_catalog,
-    recover_G0,
-)
+from .classifier import classify, load_catalog
 
 __all__ = [
-    "AbelianHom",
-    "CatalogEntry",
-    "ClassificationReport",
-    "CommutatorResult",
-    "CosetAction",
     "DEGREE4_NONTRIVIAL",
     "DEGREE4_TRIVIAL",
-    "FAMILY_MAPS",
-    "FamilyMember",
-    "FamilySpec",
-    "FiniteAbelianGroup",
     "FiniteMatrixGroup",
-    "GenusData",
-    "INFINITY",
-    "NOT_APPLICABLE",
-    "NOT_DEGREE4",
     "OpenSubgroup",
-    "RationalMap",
     "ResidueMatrix",
-    "SurjectivityVerdict",
-    "TruncatedAdelicGroup",
-    "VCondition",
-    "abelian_invariants",
     "all_subgroups_up_to_conjugacy",
-    "build_member",
-    "check_curve",
-    "check_dissolve",
     "classify",
-    "closure",
-    "commutator_index_class",
     "commutator_open",
-    "commutator_shortcut",
-    "compose",
-    "coset_action",
-    "crt_combine",
-    "derived_subgroup",
-    "det_image",
-    "enumerate_homs",
-    "enumerate_members",
     "eval_condition",
-    "evaluate",
-    "full_gl2",
     "full_sl2",
     "genus",
-    "gl2_order",
-    "index_and_cosets",
-    "instantiate",
-    "intersect_sl2",
-    "is_conjugate_subgroup",
-    "is_rational_square",
-    "level_bound_b",
     "load_catalog",
-    "minimal_level",
-    "moebius_equivalent",
-    "nested_radical_min_poly",
-    "parse_matrix",
     "parse_vcondition",
     "quad_cyc_trivial",
     "quartic_condition",
-    "quo_disjointness",
-    "quo_simple_quotients",
-    "quotient_group",
-    "rational_fibers",
-    "recover_G0",
     "sl2_order",
-    "solve_left_factor",
     "squarefree_part",
-    "surjectivity_check",
-    "transpose_group",
-    "unit_group",
 ]
 
 __version__ = "0.1.0"

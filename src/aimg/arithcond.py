@@ -41,6 +41,8 @@ __all__ = [
 
 
 def _factor(n: int):
+    # sympy rather than matgroup._prime_factors: catalog and user
+    # rationals can be far too large for trial division
     return dict(sympy.factorint(n))
 
 

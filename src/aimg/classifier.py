@@ -36,6 +36,7 @@ from .families import (
 )
 from .matgroup import (
     AbelianHom,
+    _prime_factors,
     closure,
     group_size_cap,
     intermediate_subgroups,
@@ -301,30 +302,10 @@ def level_bound_b(entry: CatalogEntry) -> int:
         raise MissingAutomorphismData(
             f"{entry.label}: no automorphism orders in the catalog")
     N = minimal_level(entry.group).level
-    n_primes = set()
-    x = N
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            n_primes.add(p)
-            while x % p == 0:
-                x //= p
-        p += 1
-    if x > 1:
-        n_primes.add(x)
+    n_primes = set(_prime_factors(N))
     b0 = 1
     for o in entry.automorphism_orders:
-        oo, op = o, set()
-        q = 2
-        while q * q <= oo:
-            if oo % q == 0:
-                op.add(q)
-                while oo % q == 0:
-                    oo //= q
-            q += 1
-        if oo > 1:
-            op.add(oo)
-        if op <= n_primes:
+        if set(_prime_factors(o)) <= n_primes:
             b0 = math.lcm(b0, o)
     return 2 * b0 if N % 4 == 2 else b0
 

@@ -65,9 +65,7 @@ def _parse_v(text) -> Fraction:
 
 
 def _cmd_classify(args):
-    entries = load_catalog(args.catalog) if args.catalog \
-        else _default_catalog()
-    report = classify(entries)
+    report = classify(_catalog_from(args))
     payload = report.to_json_dict()
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,6 +1,6 @@
 """Finite subgroup machinery inside GL2(Z/NZ).
 
-Closure from generators, cosets and index, derived subgroups, abelian
+Closure from generators, orbits, cosets and index, derived subgroups, abelian
 structure of groups and quotients, subgroup conjugacy, and enumeration of
 homomorphisms between finite abelian groups.
 
@@ -133,11 +133,38 @@ class _Closure:
         return True
 
 
-def _closure_tuples(gens, n, cap=None):
-    """BFS closure of generator tuples mod n; returns elements in
-    deterministic discovery order."""
-    c = _Closure(n, gens, cap)
-    return c.elems, c.seen
+def _orbit(x, moves) -> set:
+    """The orbit of x under the group generated by the bijections
+    ``moves`` of a finite set."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
+def _cosets(elements, sub, mul):
+    """Split ``elements`` into the cosets {mul(x, h) : h in sub}.
+
+    The elements are walked in sorted order, so the first unassigned one
+    is the least element of its coset and becomes its representative.
+    Returns the representatives in that order and the map from each
+    element to its representative.
+    """
+    reps = []
+    rep_of = {}
+    for x in sorted(elements):
+        if x in rep_of:
+            continue
+        reps.append(x)
+        for h in sub:
+            rep_of[mul(x, h)] = x
+    return reps, rep_of
 
 
 class FiniteMatrixGroup:
@@ -182,9 +209,9 @@ class FiniteMatrixGroup:
 
     def _materialize(self):
         if self._elements is None:
-            elems, seen = _closure_tuples(self.generator_tuples, self.modulus)
-            self._elements = tuple(elems)
-            self._eset = frozenset(seen)
+            clo = _Closure(self.modulus, self.generator_tuples)
+            self._elements = tuple(clo.elems)
+            self._eset = frozenset(clo.seen)
 
     @property
     def elements(self):
@@ -252,15 +279,8 @@ def index_and_cosets(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
     if not H <= G:
         raise NotASubgroup("H is not a subgroup of G")
     n = G.modulus
-    hset = H.element_set
-    reps = []
-    assigned = set()
-    for g in sorted(G.element_set):
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in hset:
-            assigned.add(tmul(g, h, n))
+    reps, _ = _cosets(G.element_set, H.element_set,
+                      lambda g, h: tmul(g, h, n))
     index = G.order // H.order
     assert len(reps) == index
     return index, [ResidueMatrix.from_tuple(r, n) for r in reps]
@@ -444,12 +464,7 @@ class FiniteAbelianGroup:
                     raise NotAbelian("group law is not commutative")
 
         basis = []  # (label, order) with orders forming primary pieces
-        for p in _prime_factors(n):
-            e = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                e += 1
+        for p, e in _prime_factors(n).items():
             sylow = [x for x in elems if power(x, p ** e) == identity]
             basis.extend(_p_basis(sylow, mul, identity, power, elt_order))
 
@@ -496,18 +511,8 @@ def _p_basis(elems, mul, identity, power, elt_order):
     for _ in range(oa):
         cyc.append(x)
         x = mul(x, a)
-    cyc_set = set(cyc)
     # quotient by <a>: canonical representative = least element of the coset
-    rep_of = {}
-    reps = []
-    for x in sorted(elems):
-        if x in rep_of:
-            continue
-        coset = sorted(mul(x, c) for c in cyc)
-        r = coset[0]
-        reps.append(r)
-        for y in coset:
-            rep_of[y] = r
+    reps, rep_of = _cosets(elems, cyc, mul)
 
     def qmul(r1, r2):
         return rep_of[mul(r1, r2)]
@@ -550,9 +555,24 @@ def _p_basis(elems, mul, identity, power, elt_order):
     return out
 
 
-def _quotient_carrier(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
-    """Coset representatives of H in G and the induced product, as a
-    concrete group (NotNormal if H is not normal in G)."""
+def abelian_invariants(G: FiniteMatrixGroup, H: FiniteMatrixGroup = None):
+    """Cyclic decomposition of G (or of the quotient G/H, H normal)."""
+    n = G.modulus
+    if H is None:
+        if not G.is_abelian():
+            raise NotAbelian("group is not abelian")
+        return FiniteAbelianGroup.from_concrete(
+            G.elements, lambda x, y: tmul(x, y, n), TID if n > 1 else (0, 0, 0, 0))
+    return quotient_group(G, H)[0]
+
+
+def quotient_group(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
+    """Abelian quotient G/H with the coset-to-vector map.
+
+    Returns (FiniteAbelianGroup, eta) where eta maps an element tuple of G
+    to its exponent vector in the quotient.  Raises NotNormal if H is not
+    normal in G.
+    """
     n = G.modulus
     if not H <= G:
         raise NotASubgroup("H is not a subgroup of G")
@@ -562,46 +582,10 @@ def _quotient_carrier(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
         for h in H.generator_tuples:
             if tmul(tmul(g, h, n), gi, n) not in hset:
                 raise NotNormal("H is not normal in G")
-    rep_of = {}
-    reps = []
-    for x in sorted(G.element_set):
-        if x in rep_of:
-            continue
-        coset = sorted(tmul(x, h, n) for h in hset)
-        r = coset[0]
-        reps.append(r)
-        for y in coset:
-            rep_of[y] = r
-
-    def qmul(r1, r2):
-        return rep_of[tmul(r1, r2, n)]
-
-    return reps, qmul, rep_of
-
-
-def abelian_invariants(G: FiniteMatrixGroup, H: FiniteMatrixGroup = None):
-    """Cyclic decomposition of G (or of the quotient G/H, H normal)."""
-    n = G.modulus
-    if H is None:
-        if not G.is_abelian():
-            raise NotAbelian("group is not abelian")
-        return FiniteAbelianGroup.from_concrete(
-            G.elements, lambda x, y: tmul(x, y, n), TID if n > 1 else (0, 0, 0, 0))
-    reps, qmul, rep_of = _quotient_carrier(G, H)
-    ident = rep_of[TID if n > 1 else (0, 0, 0, 0)]
-    return FiniteAbelianGroup.from_concrete(reps, qmul, ident)
-
-
-def quotient_group(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
-    """Abelian quotient G/H with the coset-to-vector map.
-
-    Returns (FiniteAbelianGroup, eta) where eta maps an element tuple of G
-    to its exponent vector in the quotient.
-    """
-    n = G.modulus
-    reps, qmul, rep_of = _quotient_carrier(G, H)
-    ident = rep_of[TID if n > 1 else (0, 0, 0, 0)]
-    Q = FiniteAbelianGroup.from_concrete(reps, qmul, ident)
+    reps, rep_of = _cosets(G.element_set, hset, lambda x, h: tmul(x, h, n))
+    Q = FiniteAbelianGroup.from_concrete(
+        reps, lambda r1, r2: rep_of[tmul(r1, r2, n)],
+        rep_of[TID if n > 1 else (0, 0, 0, 0)])
 
     def eta(x):
         return Q.log(rep_of[tuple(v % n for v in x)])
@@ -670,15 +654,6 @@ def enumerate_homs(A: FiniteAbelianGroup, Q: FiniteAbelianGroup):
 # base-group recovery search)
 
 
-def _subgroup_key(elems, n):
-    """Conjugation-invariant fingerprint of a subgroup element set."""
-    sig = {}
-    for x in elems:
-        tr = (x[0] + x[3]) % n
-        sig[(tr, tdet(x, n))] = sig.get((tr, tdet(x, n)), 0) + 1
-    return (len(elems), tuple(sorted(sig.items())))
-
-
 def _conjugate_set(elems, g, n):
     gi = tinv(g, n)
     return frozenset(tmul(tmul(g, x, n), gi, n) for x in elems)
@@ -687,23 +662,21 @@ def _conjugate_set(elems, g, n):
 def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
     """All subgroups of G up to conjugacy in G, as element frozensets.
 
-    Joins of cyclic subgroups, deduplicated by conjugation inside G.
-    Exponential in the worst case; meant for ambient orders up to a few
-    hundred (SL2(Z/N), N <= 8).
+    Joins of cyclic subgroups of prime-power order (which generate every
+    subgroup), deduplicated by conjugation inside G.  Exponential in the
+    worst case; meant for ambient orders up to a few hundred (SL2(Z/N),
+    N <= 8).
     """
     n = G.modulus
     gelems = G.elements
-    ident = TID if n > 1 else (0, 0, 0, 0)
+    half = len(gelems) // 2
 
-    cyclic = {}
+    cyc_gens = {}    # cyclic subgroup of prime-power order -> a generator
     for x in gelems:
-        sub = [ident]
-        y = x
-        while y != ident:
-            sub.append(y)
-            y = tmul(y, x, n)
-        cyclic[frozenset(sub)] = None
-    cyclic = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
+        c = frozenset(_Closure(n, [x]).seen)
+        if len(_prime_factors(len(c))) <= 1:
+            cyc_gens.setdefault(c, x)
+    cyclic = sorted(cyc_gens, key=lambda s: (len(s), sorted(s)))
 
     def canonical(elems):
         """Least conjugate (by sorted element tuple) of a subgroup set.
@@ -723,13 +696,6 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
                 best = c
         return best
 
-    cyc_gens = {}
-    for c in cyclic:
-        for x in c:
-            if _closure_tuples([x], n)[1] == set(c):
-                cyc_gens[c] = x
-                break
-
     found = {}       # canonical key -> (element set, small generating list)
     seen_spans = set()   # raw spans already canonicalized
     queue = deque()
@@ -739,21 +705,21 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
             gens = _regenerate(key, n) if len(c) > 1 else []
             found[key] = (frozenset(key), gens)
             queue.append((frozenset(key), gens))
-        seen_spans.add(frozenset(c))
+        seen_spans.add(c)
     while queue:
         h, hgens = queue.popleft()
         for c in cyclic:
             if c <= h:
                 continue
-            gens = hgens + [cyc_gens[c]]
-            _, span = _closure_tuples(gens, n)
-            fspan = frozenset(span)
+            try:
+                fspan = frozenset(
+                    _Closure(n, hgens + [cyc_gens[c]], half).seen)
+            except ResourceExceeded:
+                continue  # over half of G is all of G, added at the end
             if fspan in seen_spans:
                 continue
             seen_spans.add(fspan)
-            if len(span) == len(gelems):
-                continue  # the full group is added at the end
-            key = canonical(span)
+            key = canonical(fspan)
             if key not in found:
                 # re-generate on the canonical conjugate for correctness
                 # of downstream joins (gens must generate the keyed set)
@@ -766,28 +732,15 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
 
 
 def _regenerate(elems, n):
-    """A small generating list for the subgroup given by element set."""
-    target = set(elems)
-    gens = []
-    span = {TID if n > 1 else (0, 0, 0, 0)}
-    for x in sorted(target, key=lambda t: -len(_cyc_len_cache(t, n))):
-        if x in span:
-            continue
-        gens.append(x)
-        _, span = _closure_tuples(gens, n)
-        if span == target:
+    """A small generating list for the subgroup given by element set:
+    elements of large cyclic order first, each kept only if it enlarges
+    the span."""
+    clo = _Closure(n)
+    for x in sorted(elems, key=lambda t: -len(_Closure(n, [t]).seen)):
+        clo.add_gen(x)
+        if len(clo.seen) == len(elems):
             break
-    return gens
-
-
-def _cyc_len_cache(x, n):
-    ident = TID if n > 1 else (0, 0, 0, 0)
-    out = [ident]
-    y = x
-    while y != ident:
-        out.append(y)
-        y = tmul(y, x, n)
-    return out
+    return clo.gens
 
 
 def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
@@ -813,7 +766,7 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
         new_frontier = {}
         for span, gens in frontier.items():
             for x in sorted(G.element_set - span):
-                _, bigger = _closure_tuples(gens + [x], n)
+                bigger = _Closure(n, gens + [x]).seen
                 if len(bigger) > target or target % len(bigger) != 0:
                     continue
                 key = frozenset(bigger)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonIntegralGenus
-from .matgroup import sl2_order
+from .matgroup import _cosets, _orbit, sl2_order
 from .modmatrix import tinv, tmul
 from .opengroup import OpenSubgroup, full_sl2, intersect_sl2
 
@@ -52,24 +52,15 @@ def coset_action(G: OpenSubgroup) -> CosetAction:
     if n == 1:
         return CosetAction(1, 1, (0,), (0,), (0,))
     H = intersect_sl2(Gpm)
-    hset = H.element_set
-    sl = full_sl2(n)
-
-    coset_of = {}
-    reps = []
-    for x in sorted(sl.elements):
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in hset:
-            coset_of[tmul(h, x, n)] = idx
+    reps, rep_of = _cosets(full_sl2(n).elements, H.element_set,
+                           lambda x, h: tmul(h, x, n))
+    index = {r: i for i, r in enumerate(reps)}
     d = len(reps)
 
     S = (0, -1 % n, 1, 0)
     T = (1, 1, 0, 1)
-    perm_s = tuple(coset_of[tmul(r, S, n)] for r in reps)
-    perm_t = tuple(coset_of[tmul(r, T, n)] for r in reps)
+    perm_s = tuple(index[rep_of[tmul(r, S, n)]] for r in reps)
+    perm_t = tuple(index[rep_of[tmul(r, T, n)]] for r in reps)
     perm_st = tuple(perm_t[perm_s[i]] for i in range(d))
     return CosetAction(n, d, perm_s, perm_t, perm_st)
 
@@ -81,21 +72,6 @@ class GenusData:
     e2: int
     e3: int
     e_inf: int
-
-
-def _orbit(x, moves) -> set:
-    """The orbit of x under the group generated by the bijections
-    ``moves`` of a finite set."""
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for move in moves:
-            z = move(y)
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return seen
 
 
 @lru_cache(maxsize=None)

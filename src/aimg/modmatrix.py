@@ -47,11 +47,6 @@ def tinv(x, n):
     return ((d * di) % n, (-b * di) % n, (-c * di) % n, (a * di) % n)
 
 
-def ttranspose(x):
-    a, b, c, d = x
-    return (a, c, b, d)
-
-
 TID = (1, 0, 0, 1)
 
 

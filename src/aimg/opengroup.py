@@ -294,9 +294,8 @@ class DetImage:
 
     @property
     def full(self) -> bool:
-        phi = len([u for u in range(1, self.modulus + 1)
-                   if math.gcd(u, self.modulus) == 1]) if self.modulus > 1 else 1
-        return len(self.values) == phi
+        n = self.modulus
+        return len(self.values) == gl2_order(n) // sl2_order(n)
 
 
 def _det_values(G: OpenSubgroup) -> frozenset:

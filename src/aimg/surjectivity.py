@@ -15,13 +15,16 @@ import math
 from .errors import NotASubgroup, ResourceExceeded
 from .matgroup import (
     FiniteMatrixGroup,
+    _Closure,
+    _orbit,
     _prime_factors,
     closure,
     derived_subgroup,
     group_size_cap,
+    normal_closure,
     quotient_group,
 )
-from .modmatrix import ResidueMatrix, tinv, tmul
+from .modmatrix import tinv, tmul
 from .opengroup import full_gl2
 
 __all__ = [
@@ -34,32 +37,25 @@ __all__ = [
 
 
 def _conjugacy_class_reps(G: FiniteMatrixGroup):
+    """The first element of each conjugacy class, in G.elements order."""
     n = G.modulus
+    moves = [lambda x, g=g, gi=tinv(g, n): tmul(tmul(g, x, n), gi, n)
+             for g in G.generator_tuples]
     seen = set()
     reps = []
     for x in G.elements:
-        if x in seen:
-            continue
-        reps.append(x)
-        for g in G.elements:
-            seen.add(tmul(tmul(g, x, n), tinv(g, n), n))
+        if x not in seen:
+            reps.append(x)
+            seen |= _orbit(x, moves)
     return reps
-
-
-def _normal_closure_of(G: FiniteMatrixGroup, seed):
-    n = G.modulus
-    gens = set()
-    for g in G.elements:
-        gens.add(tmul(tmul(g, seed, n), tinv(g, n), n))
-    return frozenset(
-        closure([ResidueMatrix.from_tuple(t, n) for t in gens]).element_set)
 
 
 def _normal_subgroups(G: FiniteMatrixGroup):
     """All normal subgroups as element frozensets, by join-closing the
     normal closures of single conjugacy classes."""
     n = G.modulus
-    atoms = {_normal_closure_of(G, r) for r in _conjugacy_class_reps(G)}
+    atoms = {normal_closure(G, [r]).element_set
+             for r in _conjugacy_class_reps(G)}
     ident = (1 % n, 0, 0, 1 % n)
     found = set(atoms) | {frozenset({ident})}
     frontier = list(found)
@@ -68,9 +64,7 @@ def _normal_subgroups(G: FiniteMatrixGroup):
         for b in list(found):
             if a <= b or b <= a:
                 continue
-            j = frozenset(
-                closure([ResidueMatrix.from_tuple(t, n)
-                         for t in (a | b)]).element_set)
+            j = frozenset(_Closure(n, sorted(a | b)).seen)
             if j not in found:
                 found.add(j)
                 frontier.append(j)
@@ -117,14 +111,11 @@ def _psl2_orders(order):
     # |PSL2(F_l)| = l(l^2-1)/2 for l >= 5
     ell = 5
     while ell * (ell * ell - 1) // 2 <= order:
-        if ell * (ell * ell - 1) // 2 == order and _is_prime(ell):
+        if (ell * (ell * ell - 1) // 2 == order
+                and _prime_factors(ell) == {ell: 1}):
             out.append(ell)
         ell += 2
     return out
-
-
-def _is_prime(n):
-    return n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
 
 
 def quo_disjointness(A: FiniteMatrixGroup, B: FiniteMatrixGroup) -> bool:
@@ -233,15 +224,7 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
             return tuple(Q.add(a, b)
                          for (_, Q, _), a, b in zip(quotients, u, v))
         ident = tuple(Q.identity for _, Q, _ in quotients)
-        span = {ident}
-        frontier = [ident]
-        while frontier:
-            x = frontier.pop()
-            for v in vecs:
-                y = add(x, v)
-                if y not in span:
-                    span.add(y)
-                    frontier.append(y)
+        span = _orbit(ident, [lambda x, v=v: add(x, v) for v in vecs])
         if len(span) != full_order:
             return SurjectivityVerdict("FailsAbelianQuotient")
     return SurjectivityVerdict("Surjective")

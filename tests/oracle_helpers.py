@@ -55,6 +55,42 @@ def preimage(gens, m, L):
     return {t for t in gl2_elements(L) if tuple(v % m for v in t) in image}
 
 
+def mat_inv(x, n):
+    """Inverse mod n by the adjugate (x must be invertible mod n)."""
+    di = pow((x[0] * x[3] - x[1] * x[2]) % n, -1, n)
+    return ((x[3] * di) % n, (-x[1] * di) % n,
+            (-x[2] * di) % n, (x[0] * di) % n)
+
+
+def normal_subgroups(elems, n):
+    """All normal subgroups of the finite group ``elems`` (tuples mod n),
+    as frozensets: the unions of conjugacy classes that contain the
+    identity, have an order dividing |G| and are closed under mat_mul.
+    A union U is closed once x*y lies in U for one x per class in U and
+    every y in U, since (g x g^-1) y = g (x g^-1 y g) g^-1."""
+    elems = sorted(elems)
+    ident = (1 % n, 0, 0, 1 % n)
+    classes = []
+    seen = set()
+    for x in elems:
+        if x not in seen:
+            cls = frozenset(mat_mul(mat_mul(g, x, n), mat_inv(g, n), n)
+                            for g in elems)
+            seen |= cls
+            classes.append((x, cls))
+    rest = [c for c in classes if ident not in c[1]]
+    out = set()
+    for k in range(len(rest) + 1):
+        for chosen in itertools.combinations(rest, k):
+            union = {ident}.union(*(cls for _, cls in chosen))
+            if len(elems) % len(union):
+                continue
+            if all(mat_mul(x, y, n) in union
+                   for x, _ in chosen for y in union):
+                out.add(frozenset(union))
+    return out
+
+
 def coset_permutations(h_elems, n):
     """Permutations of the right cosets of H in SL2(Z/n) under right
     multiplication by S, T and ST.  H gets -I adjoined first."""

@@ -1,5 +1,6 @@
 """Catalog loading, base-group recovery and the classification pipeline."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +23,8 @@ from aimg.errors import (
     SchemaError,
     UnknownLabel,
 )
+from aimg.modmatrix import ResidueMatrix
+from aimg.opengroup import OpenSubgroup, minimal_level
 from aimg.ratfunc import INFINITY, RationalMap
 
 
@@ -109,6 +112,16 @@ def test_level_bound_b():
         conditions=None, in_exceptional_set_s=False, members=())
     with pytest.raises(MissingAutomorphismData):
         level_bound_b(entry_no_orders)
+    # Borel mod 2 times Borel mod 3: N = 6 = 2 mod 4; of the orders only
+    # 2, 3, 4, 9 are supported on {2, 3}, so b = 2 * lcm(2, 3, 4, 9)
+    borel6 = OpenSubgroup(6, tuple(
+        ResidueMatrix.from_tuple(t, 6)
+        for t in ((1, 1, 0, 1), (5, 0, 0, 1), (1, 0, 0, 5))))
+    assert minimal_level(borel6).level == 6
+    level6 = dataclasses.replace(
+        entry_no_orders, group=borel6,
+        automorphism_orders=(2, 3, 4, 5, 9, 10))
+    assert level_bound_b(level6) == 72
 
 
 def test_classify_sample_buckets():

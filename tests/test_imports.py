@@ -39,3 +39,37 @@ def test_no_unused_module_level_imports():
         if names:
             unused[path.name] = names
     assert not unused, f"unused module-level imports: {unused}"
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _references(paths):
+    """Names used as a Name, an Attribute or an imported alias."""
+    refs = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return refs
+
+
+def test_every_top_level_definition_is_referenced():
+    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for folder in ("tests", "demos", "perfbench"):
+        users += (ROOT / folder).glob("*.py")
+    refs = _references(users)
+    dead = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = [node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in refs]
+        if names:
+            dead[path.name] = names
+    assert not dead, f"top-level definitions referenced nowhere: {dead}"

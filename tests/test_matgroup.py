@@ -214,30 +214,40 @@ def test_hom_validation():
     assert h((0,)) == (0,)
 
 
-def test_subgroups_of_sl2f3_match_brute_force():
-    G = full_sl2(3)
-    elems = G.elements
-    # brute-force subgroup enumeration: closures of all <=2-element subsets
-    subs = set()
-    for a in elems:
-        subs.add(frozenset(closure_oracle([a], 3)))
-    for a in elems:
-        for b in elems:
-            subs.add(frozenset(closure_oracle([a, b], 3)))
-    # SL2(F3) subgroups are all 2-generated, so this is exhaustive
+def subgroup_classes_oracle(elems, n):
+    """Conjugacy classes (as sets of conjugates) of the closures of all
+    <= 2-element subsets: every subgroup when all are 2-generated."""
+    subs = {frozenset(closure_oracle([a, b], n)) for a in elems for b in elems}
+
     def conj_class(s):
         out = set()
         for g in elems:
-            gi = inv_oracle(g, 3)
-            out.add(frozenset(mul(mul(g, x, 3), gi, 3) for x in s))
+            gi = inv_oracle(g, n)
+            out.add(frozenset(mul(mul(g, x, n), gi, n) for x in s))
         return frozenset(out)
 
-    classes = {conj_class(s) for s in subs}
+    return {conj_class(s) for s in subs}, conj_class
+
+
+def test_subgroups_of_sl2f3_match_brute_force():
+    # SL2(F3) subgroups are all 2-generated, so the oracle is exhaustive
+    G = full_sl2(3)
+    classes, conj_class = subgroup_classes_oracle(G.elements, 3)
     got = all_subgroups_up_to_conjugacy(G)
     assert len(got) == len(classes) == 7
     # every returned subgroup really is a subgroup and classes are distinct
     reps = {conj_class(s) for s in got}
     assert reps == classes
+
+
+def test_subgroups_of_gl2f3_match_brute_force():
+    # GL2(F3) subgroups are 2-generated too; SL2(F3) has index 2 and is
+    # reached only as a join of cyclic subgroups
+    G = full_gl2(3)
+    classes, conj_class = subgroup_classes_oracle(G.elements, 3)
+    got = all_subgroups_up_to_conjugacy(G)
+    assert len(got) == len(classes)
+    assert {conj_class(s) for s in got} == classes
 
 
 def test_is_conjugate_subgroup():

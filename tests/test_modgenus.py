@@ -68,15 +68,20 @@ def test_genus_formula_consistency():
 
 def test_breakdown_matches_coset_permutations():
     # (d, e2, e3, e_inf) read off the explicit permutations: fixed points
-    # of S and ST, cycles of T
+    # of S and ST, cycles of T; coset_action gives the same permutations
     for N in range(1, 7):
         for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
             perm_s, perm_t, perm_st = coset_permutations(sub, N)
             fixed = [sum(1 for i, j in enumerate(p) if i == j)
                      for p in (perm_s, perm_st)]
-            gd = genus(open_subgroup_of(sub, N))
+            G = open_subgroup_of(sub, N)
+            gd = genus(G)
             assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
                 (len(perm_s), fixed[0], fixed[1], cycle_count(perm_t)), \
+                (N, sorted(sub))
+            act = coset_action(G)
+            assert (act.perm_s, act.perm_t, act.perm_st) == \
+                (tuple(perm_s), tuple(perm_t), tuple(perm_st)), \
                 (N, sorted(sub))
 
 

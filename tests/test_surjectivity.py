@@ -11,12 +11,18 @@ from aimg.opengroup import full_gl2, full_sl2
 from aimg.surjectivity import (
     SurjectivityVerdict,
     TruncatedAdelicGroup,
+    _normal_subgroups,
     quo_disjointness,
     quo_simple_quotients,
     surjectivity_check,
 )
 
-from oracle_helpers import mat_mul
+from oracle_helpers import (
+    bfs_closure,
+    gl2_elements,
+    normal_subgroups,
+    sl2_elements,
+)
 
 
 def RM(t, n):
@@ -35,6 +41,18 @@ def test_quo_of_gl2_small_primes():
     assert quo_simple_quotients(full_gl2(2)) == set()
     assert quo_simple_quotients(full_gl2(3)) == set()
     assert quo_simple_quotients(BOREL4) == set()
+
+
+def test_normal_subgroups_match_brute_force():
+    # in the mod-4 Borel group some normal subgroups are joins of the
+    # normal closures of single classes, not one such closure
+    borel4 = bfs_closure([g.entries for g in BOREL4.generators], 4)
+    for group, elems, n in ((full_gl2(2), gl2_elements(2), 2),
+                            (full_sl2(3), sl2_elements(3), 3),
+                            (full_gl2(3), gl2_elements(3), 3),
+                            (full_sl2(5), sl2_elements(5), 5),
+                            (BOREL4, borel4, 4)):
+        assert _normal_subgroups(group) == normal_subgroups(elems, n), n
 
 
 def test_quo_disjointness():
