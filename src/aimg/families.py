@@ -7,6 +7,12 @@ homomorphism phi: A -> G0/H cuts out the member
     H_phi = {g in G0 : gH = phi(psi(g))},
 
 the kernel of the homomorphism chi: g -> gH * phi(det g)^(-1).
+
+Members are built from generators: chi is evaluated on the generators of
+G0 at the member level, ker chi is generated by the Schreier generators
+over a transversal of im chi, and its order comes from the preimage
+formula, so G0 at the member level is never enumerated.  A member's
+element set and its dissolve flag are computed when they are read.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import NotAHomomorphism, NotEligible
@@ -24,8 +31,10 @@ from .matgroup import (
     center,
     derived_subgroup,
     enumerate_homs,
+    gl2_order,
     quotient_group,
     unit_group,
+    _schreier,
 )
 from .modmatrix import tdet
 from .opengroup import (
@@ -110,21 +119,46 @@ class FamilyMember:
     family: FamilySpec
     phi: AbelianHom
     group: OpenSubgroup
-    dissolve_eligible: bool
     index_in_g0: int
+    # H_phi at the member level, with its order recorded
+    kernel: FiniteMatrixGroup = field(repr=False)
     v_tag: Optional[Fraction] = None
-    # mod member-level element set, kept for duplicate detection
-    _eset: frozenset = field(default=frozenset(), repr=False)
+
+    @property
+    def _eset(self) -> frozenset:
+        """The member-level element set, for duplicate detection."""
+        return self.kernel.element_set
+
+    @cached_property
+    def dissolve_eligible(self) -> bool:
+        """chi takes every value already on the center of G0, which forces
+        G0 = H_phi * Z(G0) and hence [H_phi, H_phi] = [G0, G0]."""
+        big = self.family.g0.finite_image(self.family.member_level)
+        return len({_chi(self.family, self.phi, z)
+                    for z in center(big)}) == self.index_in_g0
+
+
+def _chi(spec: FamilySpec, phi: AbelianHom, g):
+    """chi(g) = gH * phi(det g)^(-1) for g in G0 mod the member level."""
+    Q = spec.quotient
+    return Q.add(spec.eta(g), Q.neg(phi(spec.psi_log(g, spec.member_level))))
 
 
 def build_member(spec: FamilySpec, phi: AbelianHom,
                  v_tag: Optional[Fraction] = None) -> FamilyMember:
-    """H_phi = {g in G0 : gH = phi(psi(g))}, as the kernel of chi.
+    """H_phi = {g in G0 : gH = phi(psi(g))}, as the kernel of chi, built
+    from the generators of G0 at the member level Lm = lcm(level(G0), M).
 
-    The member is presented at lcm(level(G0), M) and then minimized.  It
-    is tagged dissolve-eligible when chi takes every value already on the
-    center of G0, which forces G0 = H_phi * Z(G0) and hence
-    [H_phi, H_phi] = [G0, G0].
+    chi is evaluated on those generators only.  A BFS over their values
+    walks im chi and keeps a word t_q of chi-value q for each q in it, so
+    [G0 : H_phi] = |im chi|, and the kernel is generated by the Schreier
+    generators t_q g t_{q + chi(g)}^(-1).  G0(Lm) is the full preimage of
+    G0 at its level m0, so the kernel's order is recorded, not counted:
+
+        |G0(m0)| * |GL2(Z/Lm)| / |GL2(Z/m0)| / |im chi|.
+
+    The member is then minimized.  The element set (``_eset``) and the
+    dissolve flag are computed when they are read.
     """
     if phi.source is not spec.a_group and \
             phi.source.invariants != spec.a_group.invariants:
@@ -134,30 +168,18 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
         raise NotAHomomorphism("phi target is not G0/H")
 
     Lm = spec.member_level
-    big = spec.g0.finite_image(Lm)
+    gens = spec.g0.finite_image(Lm).generator_tuples
     Q = spec.quotient
-
-    def chi(g):
-        return Q.add(spec.eta(g), Q.neg(phi(spec.psi_log(g, Lm))))
-
-    kernel = []
-    chi_all = set()
-    for g in big.elements:
-        c = chi(g)
-        chi_all.add(c)
-        if c == Q.identity:
-            kernel.append(g)
-    chi_center = {chi(z) for z in center(big)}
-    eligible = chi_center == chi_all
-
-    grp = FiniteMatrixGroup.from_elements(kernel, Lm)
-    member_group = minimal_level(OpenSubgroup.from_group(grp))
+    value = {g: _chi(spec, phi, g) for g in gens}
+    trans, schreier = _schreier(gens, Lm, Q.identity,
+                                lambda q, g: Q.add(q, value[g]))
+    kernel = FiniteMatrixGroup(Lm, schreier)
+    kernel._order = (spec.g0.mod_level_group().order * gl2_order(Lm)
+                     // gl2_order(spec.g0.level) // len(trans))
     return FamilyMember(
-        family=spec, phi=phi, group=member_group,
-        dissolve_eligible=eligible,
-        index_in_g0=big.order // grp.order,
-        v_tag=v_tag,
-        _eset=frozenset(kernel))
+        family=spec, phi=phi,
+        group=minimal_level(OpenSubgroup.from_group(kernel)),
+        index_in_g0=len(trans), kernel=kernel, v_tag=v_tag)
 
 
 @dataclass
@@ -185,8 +207,7 @@ def check_dissolve(member: FamilyMember) -> bool:
         raise NotEligible("member is not dissolve-eligible")
     spec = member.family
     Lm = spec.member_level
-    d_member = derived_subgroup(
-        FiniteMatrixGroup.from_elements(sorted(member._eset), Lm))
+    d_member = derived_subgroup(member.kernel)
     d_base = derived_subgroup(spec.g0.finite_image(Lm))
     return d_member.element_set == d_base.element_set
 

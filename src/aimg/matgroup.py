@@ -148,6 +148,33 @@ def _orbit(x, moves) -> set:
     return seen
 
 
+def _schreier(gens, n, start, act):
+    """Kernel of a homomorphism v from the group generated by ``gens``
+    (tuples mod n) to a group of values, given by act(q, g) = q * v(g).
+
+    Returns (trans, schreier).  ``trans`` maps each q in start * im v to a
+    word t_q in the generators with start * v(t_q) = q, found by a BFS from
+    ``start`` (t_start is the identity), so [<gens> : ker v] = len(trans).
+    ``schreier`` lists the distinct non-identity Schreier generators
+    t_q g t_{act(q, g)}^-1, which generate ker v.
+    """
+    ident = tuple(v % n for v in TID)
+    trans = {start: ident}
+    queue = deque(trans)
+    while queue:
+        q = queue.popleft()
+        for g in gens:
+            r = act(q, g)
+            if r not in trans:
+                trans[r] = tmul(trans[q], g, n)
+                queue.append(r)
+    inverse = {q: tinv(t, n) for q, t in trans.items()}
+    schreier = dict.fromkeys(tmul(tmul(t, g, n), inverse[act(q, g)], n)
+                             for q, t in trans.items() for g in gens)
+    schreier.pop(ident, None)
+    return trans, list(schreier)
+
+
 def _cosets(elements, sub, mul):
     """Split ``elements`` into the cosets {mul(x, h) : h in sub}.
 
@@ -169,7 +196,12 @@ def _cosets(elements, sub, mul):
 
 class FiniteMatrixGroup:
     """A subgroup of GL2(Z/NZ), given by generators, with lazily
-    materialized element set."""
+    materialized element set.
+
+    A caller that knows the order from a formula records it in ``_order``;
+    ``order`` then reads it without closing the group, and a later
+    materialization asserts that the closure has that many elements.
+    """
 
     def __init__(self, modulus: int, generators):
         self.modulus = modulus
@@ -183,6 +215,7 @@ class FiniteMatrixGroup:
         self.generator_tuples = tuple(gens)
         self._elements = None
         self._eset = None
+        self._order = None
 
     @classmethod
     def from_elements(cls, elements, modulus: int):
@@ -210,6 +243,9 @@ class FiniteMatrixGroup:
     def _materialize(self):
         if self._elements is None:
             clo = _Closure(self.modulus, self.generator_tuples)
+            assert self._order in (None, len(clo.elems)), (
+                f"closure has {len(clo.elems)} elements, the recorded "
+                f"order is {self._order}")
             self._elements = tuple(clo.elems)
             self._eset = frozenset(clo.seen)
 
@@ -225,7 +261,9 @@ class FiniteMatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._order is None:
+            self._order = len(self.elements)
+        return self._order
 
     def __contains__(self, x):
         t = x.entries if isinstance(x, ResidueMatrix) else tuple(x)

@@ -11,7 +11,6 @@ GL2(Zhat).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,9 +21,11 @@ from .matgroup import (
     gl2_order,
     sl2_order,
     _Closure,
+    _orbit,
     _prime_factors,
+    _schreier,
 )
-from .modmatrix import TID, ResidueMatrix, crt_combine, tdet, tinv, tmul
+from .modmatrix import ResidueMatrix, crt_combine, tdet
 
 __all__ = [
     "OpenSubgroup",
@@ -92,8 +93,15 @@ def gl2_generator_matrices(n: int):
 
 @lru_cache(maxsize=None)
 def full_gl2(n: int) -> FiniteMatrixGroup:
+    """GL2(Z/nZ) with its order recorded, not closed.  S and T generate
+    SL2(Z/nZ), because SL2(Z) -> SL2(Z/nZ) is onto, so the generators span
+    GL2(Z/nZ) once the diag(u, 1) span the determinants; only that is
+    checked here."""
+    units = _unit_gens(n)
+    assert len(_orbit(1 % n, [lambda x, u=u: x * u % n for u in units])) \
+        == gl2_order(n) // sl2_order(n)
     g = FiniteMatrixGroup(n, gl2_generator_matrices(n))
-    assert g.order == gl2_order(n)
+    g._order = gl2_order(n)
     return g
 
 
@@ -250,37 +258,21 @@ class OpenSubgroup:
         return cls(level, tuple(gens))
 
 
-def _det_transversal(G: OpenSubgroup) -> dict:
-    """u -> t_u for u in det G(m), m the level: a BFS over the determinant
-    group from the generators, with t_u a word in the generators of
-    determinant u (the identity for u = 1)."""
+def _det_schreier(G: OpenSubgroup):
+    """det on G(m), m the level: the transversal u -> t_u over det G(m)
+    (t_u a word in the generators of determinant u) and the Schreier
+    generators t_u g t_{u det g}^-1 of G(m) ∩ SL2."""
     n = G.level
-    one = 1 % n
-    trans = {one: tuple(v % n for v in TID)}
-    queue = deque(trans)
-    while queue:
-        u = queue.popleft()
-        for g in G.gens:
-            v = u * tdet(g.entries, n) % n
-            if v not in trans:
-                trans[v] = tmul(trans[u], g.entries, n)
-                queue.append(v)
-    return trans
+    return _schreier([g.entries for g in G.gens], n, 1 % n,
+                     lambda u, g: u * tdet(g, n) % n)
 
 
 def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
     """Mod-level image of G ∩ SL2(Zhat), the kernel of det on G(m),
-    closed from the Schreier generators t_u g t_{u det g}^-1 over the
-    determinant transversal, so G(m) itself is never enumerated."""
+    closed from the Schreier generators over the determinant transversal,
+    so G(m) itself is never enumerated."""
     n = G.level
-    trans = _det_transversal(G)
-    inverse = {u: tinv(t, n) for u, t in trans.items()}
-    clo = _Closure(n)
-    for u, t in trans.items():
-        for g in G.gens:
-            x = g.entries
-            back = inverse[u * tdet(x, n) % n]
-            clo.add_gen(tmul(tmul(t, x, n), back, n))
+    clo = _Closure(n, _det_schreier(G)[1])
     sub = FiniteMatrixGroup(n, clo.gens)
     sub._elements = tuple(clo.elems)
     sub._eset = frozenset(clo.seen)
@@ -301,7 +293,7 @@ class DetImage:
 def _det_values(G: OpenSubgroup) -> frozenset:
     """det G(m) for m the level: the keys of the determinant
     transversal."""
-    return frozenset(_det_transversal(G))
+    return frozenset(_det_schreier(G)[0])
 
 
 def det_image(G: OpenSubgroup) -> DetImage:

@@ -23,6 +23,7 @@ from aimg.errors import (
     SchemaError,
     UnknownLabel,
 )
+from aimg.matgroup import unit_group
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, minimal_level
 from aimg.ratfunc import INFINITY, RationalMap
@@ -143,6 +144,25 @@ def test_classify_sample_buckets():
     # conditions were evaluated with the J guard
     assert m5.condition is not None and m5.condition.ok
     assert m1.condition is not None and m1.condition.ok
+
+
+def test_left_out_twists_stay_under_the_cap(monkeypatch):
+    # the 2A-2A twists by Q(sqrt(Mv)) for Mv = 13, 17, 21: members are
+    # built from generators, so G0 at the member level (2 * Mv) is never
+    # closed; |GL2(Z/26)| alone is above the cap
+    monkeypatch.setenv("AIMG_CAP_ORDER", "100000")
+    base = next(e for e in sample_raw()["entries"] if e["label"] == "2A-2A")
+    for Mv, primes in ((13, (13,)), (17, (17,)), (21, (3, 7))):
+        # the character of Q(sqrt(Mv)) is u -> (u / Mv), as Mv = 1 mod 4;
+        # phi sends a basis unit to 1 in G0/H = Z/2 where it is -1
+        phi = [[sum(pow(b, (p - 1) // 2, p) != 1 for p in primes) % 2]
+               for b in unit_group(Mv).basis]
+        entry = dict(base, members=[{"v": Mv, "Mv": Mv, "phi": phi}])
+        (rep,) = classify(load_catalog({"entries": [entry]})).entries
+        (m,) = rep.members
+        assert m.error is None
+        assert m.bucket == THEOREM1 and m.method == "shortcut"
+        assert m.condition.ok
 
 
 def test_classify_report_json_shape():

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aimg.errors import NotAbelian, NotAHomomorphism, NotEligible, NotNormal
 from aimg.families import (
@@ -27,7 +28,13 @@ from aimg.matgroup import (
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, commutator_open
 
-from oracle_helpers import bfs_closure, mat_mul, preimage
+from oracle_helpers import (
+    bfs_closure,
+    gl2_elements,
+    mat_inv,
+    mat_mul,
+    preimage,
+)
 
 
 def RM(t, n):
@@ -182,6 +189,80 @@ def test_mod2_borel_conductor8_members_match_brute_force():
         member = build_member(spec, phi)
         assert member._eset == want
         assert member.index_in_g0 == len(g0) // len(want)
+
+
+def _brute_member_kernel(spec, phi, g0_elems, h_gens, base):
+    """{g in G0(Lm) : gH = phi(det g)}, with cosets labeled by their least
+    element over the brute-force H at the base level and phi read through
+    the basis labels of A and G0/H."""
+    M = spec.modulus
+    hset = bfs_closure(h_gens, base)
+
+    def label(x):
+        return min(mat_mul(x, h, base) for h in hset)
+
+    A, Q = spec.a_group, spec.quotient
+    chi = {}
+    for vec in A.elements():
+        u = math.prod(pow(b, k, M) for b, k in zip(A.basis, vec)) % M
+        rep = (1 % base, 0, 0, 1 % base)
+        for b, k in zip(Q.basis, phi(vec)):
+            for _ in range(k):
+                rep = mat_mul(rep, b, base)
+        chi[u] = label(rep)
+    return {g for g in g0_elems
+            if label(tuple(v % base for v in g))
+            == chi[(g[0] * g[3] - g[1] * g[2]) % M]}
+
+
+@st.composite
+def small_family_specs(draw):
+    """(spec, G0 generators, G0 level, H generators, base level): M, then
+    N <= 4 with lcm(N, M) <= 12, G0 at level 1 or N, and H generated by
+    [G0, G0] and up to two more elements of G0 at level N."""
+    M = draw(st.sampled_from((1, 2, 3, 4, 5, 8)))
+    N = draw(st.sampled_from([N for N in (1, 2, 3, 4)
+                              if math.lcm(N, M) <= 12]))
+    m0 = draw(st.sampled_from((1, N)))
+    g0_gens = []
+    if m0 > 1:
+        g0_gens = draw(st.lists(st.sampled_from(gl2_elements(N)),
+                                min_size=1, max_size=3))
+    g0_elems = sorted(preimage(g0_gens, m0, N))
+    comms = {mat_mul(mat_mul(a, b, N), mat_mul(mat_inv(a, N), mat_inv(b, N),
+                                               N), N)
+             for a in g0_elems for b in g0_elems}
+    extra = draw(st.lists(st.sampled_from(g0_elems), max_size=2))
+    h_gens, span = [], {(1 % N, 0, 0, 1 % N)}
+    for x in sorted(comms) + extra:
+        if x not in span:
+            h_gens.append(x)
+            span = bfs_closure(h_gens, N)
+
+    def group(level, gens):
+        if level == 1:
+            return OpenSubgroup.full()
+        return OpenSubgroup(level, tuple(RM(t, level) for t in gens))
+
+    spec = FamilySpec(group(m0, g0_gens), group(N, h_gens), M)
+    return spec, g0_gens, m0, h_gens, N
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=small_family_specs(), data=st.data())
+def test_member_matches_brute_force_kernel(case, data):
+    spec, g0_gens, m0, h_gens, base = case
+    phi = data.draw(st.sampled_from(enumerate_homs(spec.a_group,
+                                                   spec.quotient)))
+    Lm = spec.member_level
+    g0 = preimage(g0_gens, m0, Lm)
+    want = _brute_member_kernel(spec, phi, g0, h_gens, base)
+    member = build_member(spec, phi)
+    assert member._eset == want
+    assert member.index_in_g0 == len(g0) // len(want)
+    assert member.kernel._order == len(member.kernel.elements)
+    grp = member.group
+    assert preimage([g.entries for g in grp.gens], grp.level, Lm) == want
 
 
 def test_dissolve_eligible_members_dissolve():

@@ -12,6 +12,7 @@ from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
+    _unit_gens,
     commutator_index_class,
     commutator_open,
     det_image,
@@ -40,6 +41,26 @@ def test_full_group_images():
         assert G.finite_image(L).order == gl2_order(L)
     assert G.index_in_gl2() == 1
     assert G.contains_minus_i()
+
+
+def test_full_gl2_closes_to_its_recorded_order():
+    # full_gl2 records |GL2(Z/n)| instead of closing the group; closing an
+    # uncached copy checks that record (materializing asserts it too)
+    for n in range(1, 31):
+        g = full_gl2.__wrapped__(n)
+        assert len(g.elements) == gl2_order(n)
+
+
+def test_unit_gens_span_the_units():
+    # the determinant half of full_gl2's generation argument
+    for n in range(1, 1001):
+        gens = _unit_gens(n)
+        span = {1 % n}
+        frontier = list(span)
+        while frontier:
+            frontier = {x * u % n for x in frontier for u in gens} - span
+            span.update(frontier)
+        assert len(span) == sum(1 for k in range(n) if math.gcd(k, n) == 1)
 
 
 def test_finite_image_is_full_preimage():
