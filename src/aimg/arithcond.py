@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedShape,
     ZeroInput,
 )
-from .ratfunc import INFINITY, RationalMap, evaluate
+from .ratfunc import INFINITY, RationalMap, _peval, _rational_roots, evaluate
 
 __all__ = [
     "squarefree_part",
@@ -192,13 +192,6 @@ def nested_radical_min_poly(shape: str, v) -> tuple:
 # --- condition expression language ---
 
 
-def _peval_int(poly, v: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(poly):
-        out = out * v + c
-    return out
-
-
 @dataclass(frozen=True)
 class Leaf:
     kind: str
@@ -259,7 +252,7 @@ def _parse_rational(x, where):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise SchemaError(f"{where}: expected an integer or 'num/den' string, "
                       f"got {x!r}")
@@ -322,17 +315,7 @@ def _cubic_irreducible(coeffs) -> bool:
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
-    if len(ints) != 4:
-        return False
-    if ints[0] == 0:
-        return False
-    a0, a3 = abs(ints[0]), abs(ints[-1])
-    for num in sympy.divisors(a0):
-        for d in sympy.divisors(a3):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if _peval_int([Fraction(c) for c in ints], cand) == 0:
-                    return False
-    return True
+    return len(ints) == 4 and not _rational_roots(ints)
 
 
 def _eval_leaf(leaf: Leaf, v: Fraction):
@@ -348,13 +331,13 @@ def _eval_leaf(leaf: Leaf, v: Fraction):
             return False, "v = ±1 excluded"
         return True, f"{v} is a squarefree integer, not ±1"
     if leaf.kind == "not_square":
-        val = _peval_int(p["poly"], v)
+        val = _peval(p["poly"], v)
         if val == 0:
             return False, f"polynomial vanishes at v = {v}"
         ok = not is_rational_square(val)
         return ok, f"value {val} {'is not' if ok else 'is'} a square"
     if leaf.kind == "quad_cyc_trivial":
-        val = _peval_int(p["poly"], v)
+        val = _peval(p["poly"], v)
         if val == 0:
             return False, f"radicand vanishes at v = {v}"
         ok = quad_cyc_trivial(val, p["M"], p["mode"])
@@ -362,8 +345,8 @@ def _eval_leaf(leaf: Leaf, v: Fraction):
                     f"{'^inf' if p['mode'] == 'tower' else ''}}} "
                     f"{'=' if ok else '≠'} Q")
     if leaf.kind in ("quartic_degree4", "quartic_cyc_trivial"):
-        pp = _peval_int(p["p_poly"], v)
-        qq = _peval_int(p["q_poly"], v)
+        pp = _peval(p["p_poly"], v)
+        qq = _peval(p["q_poly"], v)
         try:
             verdict = quartic_condition(pp, qq, p.get("M", 2))
         except DegenerateQuartic as e:
@@ -378,7 +361,7 @@ def _eval_leaf(leaf: Leaf, v: Fraction):
         return ok, (f"v = {v} {'∈' if ok else '∉'} "
                     f"{{{', '.join(str(x) for x in p['values'])}}}")
     if leaf.kind == "cubic_irreducible_proxy":
-        coeffs3 = [_peval_int(cp, v) for cp in p["coeff_polys"]]
+        coeffs3 = [_peval(cp, v) for cp in p["coeff_polys"]]
         # coeff_polys are listed x^3 down to constant
         asc = list(reversed(coeffs3))
         ok = _cubic_irreducible(asc)

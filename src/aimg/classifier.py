@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arithcond import ConditionResult, VCondition, eval_condition, \
-    parse_vcondition
+from .arithcond import ConditionResult, VCondition, _parse_rational, \
+    eval_condition, parse_vcondition
 from .errors import (
     AimgError,
     InvariantViolation,
@@ -108,18 +108,6 @@ class CatalogEntry:
         return self.u.degree
 
 
-def _parse_fraction(x, where):
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SchemaError(f"{where}: expected an integer or 'num/den' string, "
-                      f"got {x!r}")
-
-
 def _parse_entry(raw) -> CatalogEntry:
     if not isinstance(raw, dict) or "label" not in raw:
         raise SchemaError("catalog entry must be an object with a 'label'")
@@ -153,7 +141,7 @@ def _parse_entry(raw) -> CatalogEntry:
         raise SchemaError(f"{where}: family_index must be 1..6")
     alpha = raw.get("alpha")
     if alpha is not None:
-        alpha = _parse_fraction(alpha, where)
+        alpha = _parse_rational(alpha, where)
     conds = raw.get("conditions")
     if conds is not None:
         conds = parse_vcondition(conds)
@@ -166,7 +154,7 @@ def _parse_entry(raw) -> CatalogEntry:
         for key in ("v", "Mv", "phi"):
             if key not in m:
                 raise SchemaError(f"{mwhere}: missing {key!r}")
-        v = _parse_fraction(m["v"], mwhere)
+        v = _parse_rational(m["v"], mwhere)
         Mv = m["Mv"]
         if not isinstance(Mv, int) or Mv < 1:
             raise SchemaError(f"{mwhere}: bad Mv {Mv!r}")

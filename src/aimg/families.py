@@ -11,8 +11,10 @@ the kernel of the homomorphism chi: g -> gH * phi(det g)^(-1).
 Members are built from generators: chi is evaluated on the generators of
 G0 at the member level, ker chi is generated by the Schreier generators
 over a transversal of im chi, and its order comes from the preimage
-formula, so G0 at the member level is never enumerated.  A member's
-element set and its dissolve flag are computed when they are read.
+formula, so G0 at the member level is never enumerated.  Members are
+presented at the member level and are not minimized; a consumer that needs
+the least level (commutator_open) computes it.  A member's element set and
+its dissolve flag are computed when they are read.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class FamilySpec:
 
 @dataclass
 class FamilyMember:
+    """H_phi, presented at the member level Lm (``group``), not at its
+    least level."""
+
     family: FamilySpec
     phi: AbelianHom
     group: OpenSubgroup
@@ -157,8 +162,9 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
 
         |G0(m0)| * |GL2(Z/Lm)| / |GL2(Z/m0)| / |im chi|.
 
-    The member is then minimized.  The element set (``_eset``) and the
-    dissolve flag are computed when they are read.
+    The member's group is presented at Lm with that order and is not
+    minimized.  The element set (``_eset``) and the dissolve flag are
+    computed when they are read.
     """
     if phi.source is not spec.a_group and \
             phi.source.invariants != spec.a_group.invariants:
@@ -178,7 +184,7 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
                      // gl2_order(spec.g0.level) // len(trans))
     return FamilyMember(
         family=spec, phi=phi,
-        group=minimal_level(OpenSubgroup.from_group(kernel)),
+        group=OpenSubgroup.from_group(kernel),
         index_in_g0=len(trans), kernel=kernel, v_tag=v_tag)
 
 

@@ -438,12 +438,6 @@ class FiniteAbelianGroup:
     def scale(self, k, u):
         return tuple((k * a) % d for a, d in zip(u, self.invariants))
 
-    def element_order(self, u) -> int:
-        out = 1
-        for a, d in zip(u, self.invariants):
-            out = math.lcm(out, d // math.gcd(a, d))
-        return out
-
     def log(self, label):
         """Exponent vector of a concrete carrier label."""
         return self._log[label]

@@ -30,7 +30,6 @@ from .modmatrix import ResidueMatrix, crt_combine, tdet
 __all__ = [
     "OpenSubgroup",
     "CommutatorResult",
-    "IndexClass",
     "full_gl2",
     "intersect_sl2",
     "det_image",
@@ -38,7 +37,6 @@ __all__ = [
     "transpose_group",
     "minimal_level",
     "commutator_open",
-    "commutator_index_class",
     "SATURATION_EXPONENT_CAP",
 ]
 
@@ -207,18 +205,6 @@ class OpenSubgroup:
                 gens.append(crt_combine(ResidueMatrix.identity(A), g))
         return FiniteMatrixGroup(L, gens)
 
-    def image_mod(self, k: int) -> FiniteMatrixGroup:
-        """The mod-k image for arbitrary k >= 1."""
-        m = self.level
-        if m % k == 0:
-            grp = self.mod_level_group()
-            return FiniteMatrixGroup(
-                k, [g.reduce_mod(k) for g in grp.generators]) if k > 1 \
-                else full_gl2(1)
-        L = math.lcm(m, k)
-        big = self.finite_image(L)
-        return FiniteMatrixGroup(k, [g.reduce_mod(k) for g in big.generators])
-
     def index_in_gl2(self) -> int:
         return gl2_order(self.level) // self.mod_level_group().order
 
@@ -319,26 +305,45 @@ def sl_count(G: OpenSubgroup, L: int) -> int:
 
 
 def transpose_group(G: OpenSubgroup) -> OpenSubgroup:
-    return OpenSubgroup(G.level, tuple(g.transpose() for g in G.gens))
+    """G^t, with the recorded order of G's mod-level image kept, since
+    |G^t| = |G|."""
+    if G.level == 1:
+        return G
+    grp = FiniteMatrixGroup(G.level, [g.transpose() for g in G.gens])
+    grp._order = G.mod_level_group()._order
+    return OpenSubgroup.from_group(grp)
+
+
+def _least_level(grp: FiniteMatrixGroup, ambient_order) -> FiniteMatrixGroup:
+    """The image of grp at the least d | n, n its modulus, such that grp
+    is the full preimage of that image in the ambient group mod n (GL2 or
+    SL2, given by its order function); grp itself when d = n.
+
+    grp always lies in the preimage of its mod-d image, so it is the whole
+    preimage when the orders agree: |grp| = |image| * |ambient kernel|.
+    A d whose kernel order does not divide |grp| is skipped unclosed.
+    """
+    n = grp.modulus
+    for d in (d for d in range(1, n) if n % d == 0):
+        kernel = ambient_order(n) // ambient_order(d)
+        if grp.order % kernel:
+            continue
+        img = FiniteMatrixGroup(d, grp.generator_tuples)
+        if img.order * kernel == grp.order:
+            return img
+    return grp
 
 
 def minimal_level(G: OpenSubgroup) -> OpenSubgroup:
-    """Equal open subgroup presented at its true level (smallest m0 | m
-    with equal GL2 index at m0 and m)."""
-    m = G.level
-    if m == 1:
+    """Equal open subgroup presented at its true level (the least m0 | m
+    at which it is the full preimage of its image)."""
+    grp = G.mod_level_group()
+    img = _least_level(grp, gl2_order)
+    if img is grp:
         return G
-    idx = G.index_in_gl2()
-    divisors = sorted(d for d in range(1, m + 1) if m % d == 0)
-    for d in divisors:
-        if d == m:
-            break
-        img = G.image_mod(d)
-        if gl2_order(d) // img.order == idx:
-            if d == 1:
-                return OpenSubgroup.full()
-            return OpenSubgroup.from_group(img)
-    return G
+    if img.modulus == 1:
+        return OpenSubgroup.full()
+    return OpenSubgroup.from_group(img)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +363,6 @@ class CommutatorResult:
     index_in_sl: int
     saturation_level: int
     det_full: bool
-
-    @property
-    def greater_than_two(self) -> bool:
-        return self.index_in_sl > 2
 
 
 def _part_data(G: OpenSubgroup, L: int, cache: dict):
@@ -410,32 +411,6 @@ def _full_factor_commutator(ell: int):
     return _ramp_part(OpenSubgroup.full(), ell, [ell])
 
 
-def _minimal_sl_level(der: FiniteMatrixGroup, T: int):
-    """Smallest divisor d of T such that der is the full SL2-preimage of
-    its mod-d image."""
-    best = T
-    for d in sorted(x for x in range(1, T + 1) if T % x == 0):
-        if d == T:
-            break
-        if d == 1:
-            img_order = 1
-        else:
-            img = FiniteMatrixGroup(
-                d, [ResidueMatrix.from_tuple(t, d)
-                    for t in der.generator_tuples])
-            img_order = img.order
-        if der.order == img_order * (sl2_order(T) // sl2_order(d)):
-            best = d
-            break
-    if best == T:
-        return der.modulus, der
-    if best == 1:
-        return 1, full_sl2(1)
-    img = FiniteMatrixGroup(
-        best, [ResidueMatrix.from_tuple(t, best) for t in der.generator_tuples])
-    return best, img
-
-
 def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     """[G, G] as an open subgroup of SL2(Zhat), with its exact index in
     G ∩ SL2(Zhat).
@@ -445,6 +420,10 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     the level contribute the (cached) commutator of a full GL2(Z_ell)
     factor.  Primes >= 5 away from the level satisfy
     SL2(Z_ell) ⊆ [G, G] and contribute nothing.
+
+    The parts sit at coprime levels, so [G, G] is their product: each
+    part is presented at its own least level and the parts are joined by
+    CRT, so nothing is closed at the saturation level itself.
     """
     Gm = minimal_level(G)
     m = Gm.level
@@ -459,51 +438,16 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
 
     T = math.prod(level for level, _, _ in parts)
     index = math.prod(idx for _, _, idx in parts)
+    imgs = [_least_level(der, sl2_order) for _, der, _ in parts]
+    lvl = math.prod(img.modulus for img in imgs)
+    if lvl == 1:
+        return CommutatorResult(OpenSubgroup.full(), index, T, full_det)
     gens = []
-    for level, der, _ in parts:
-        for t in der.generator_tuples:
-            g = _crt_with_identity(
-                ResidueMatrix.from_tuple(t, level), T // level)
-            if g.entries != (1 % T, 0, 0, 1 % T) and g not in gens:
+    for img in imgs:
+        for t in img.generator_tuples:
+            g = _crt_with_identity(ResidueMatrix.from_tuple(t, img.modulus),
+                                   lvl // img.modulus)
+            if g.entries != (1, 0, 0, 1) and g not in gens:
                 gens.append(g)
-    if not gens and T > 1:
-        gens.append(ResidueMatrix.identity(T))
-    if T == 1:
-        comm = OpenSubgroup.full()
-    else:
-        combined = FiniteMatrixGroup(T, gens)
-        lvl, img = _minimal_sl_level(combined, T)
-        if lvl > 1:
-            kept = []
-            for g in img.generators:
-                if g.entries != (1 % lvl, 0, 0, 1 % lvl) and g not in kept:
-                    kept.append(g)
-            if not kept:
-                kept.append(ResidueMatrix.identity(lvl))
-            comm = OpenSubgroup(lvl, tuple(kept))
-        else:
-            comm = OpenSubgroup.full()
+    comm = OpenSubgroup(lvl, tuple(gens) or (ResidueMatrix.identity(lvl),))
     return CommutatorResult(comm, index, T, full_det)
-
-
-@dataclass(frozen=True)
-class IndexClass:
-    """Classification of [G^t, G^t] inside G^t ∩ SL2(Zhat)."""
-
-    kind: str  # "index_one" | "index_two" | "other"
-    index: int
-
-    @classmethod
-    def from_index(cls, n: int) -> "IndexClass":
-        if n == 1:
-            return cls("index_one", 1)
-        if n == 2:
-            return cls("index_two", 2)
-        return cls("other", n)
-
-
-def commutator_index_class(G: OpenSubgroup) -> IndexClass:
-    """Classify the transposed group G^t by the index of its commutator in
-    its SL2-part."""
-    res = commutator_open(transpose_group(G))
-    return IndexClass.from_index(res.index_in_sl)

@@ -175,10 +175,6 @@ class RationalMap:
     def from_coeffs(cls, num, den=(1,)) -> "RationalMap":
         return cls.from_fractions(num, den)
 
-    @classmethod
-    def polynomial(cls, coeffs) -> "RationalMap":
-        return cls.from_fractions(coeffs, (1,))
-
     @property
     def deg_num(self) -> int:
         return len(_trim(self.num)) - 1 if any(self.num) else -1
@@ -487,29 +483,23 @@ class MapCatalogEntry:
     base_den: callable = field(compare=False)
     twisted_num: callable = field(compare=False)
     twisted_den: callable = field(compare=False)
-    # replacement for a verbatim-but-suspect printed numerator
-    twisted_num_override: callable = field(default=None, compare=False)
-
-
-def _entry(i, needs_alpha, deg, bn, bd, tn, td, override=None):
-    return MapCatalogEntry(i, needs_alpha, deg, bn, bd, tn, td, override)
 
 
 FAMILY_MAPS = {
-    1: _entry(
+    1: MapCatalogEntry(
         1, False, 2,
         lambda a: (0, 0, 1),
         lambda a: (1,),
         lambda a, v: (0, 0, v),
         lambda a, v: (1,)),
-    2: _entry(
+    2: MapCatalogEntry(
         2, True, 2,
         lambda a: (a, 0, 1),
         lambda a: (0, 1),
         # numerator as printed: v t^2 - 4 a t + a t
         lambda a, v: (0, -4 * a + a, v),
         lambda a, v: (-a, v, -1)),
-    3: _entry(
+    3: MapCatalogEntry(
         3, False, 3,
         lambda a: (1, -3, 0, 1),
         lambda a: (0, -1, 1),
@@ -518,13 +508,13 @@ FAMILY_MAPS = {
                       -3 * v**2 + 9 * v - 9,
                       -v + 3),
         lambda a, v: (v**2 - 3 * v + 1, v**2 + v - 3, 2 * v, 1)),
-    4: _entry(
+    4: MapCatalogEntry(
         4, False, 4,
         lambda a: (1, 0, -6, 0, 1),
         lambda a: (0, -1, 0, 1),
         lambda a, v: (7 * v - 96, 8 * v + 176, -18 * v - 96, 8 * v + 16, -v),
         lambda a, v: (-6 * v - 7, 11 * v - 8, -6 * v + 18, v - 8, 1)),
-    5: _entry(
+    5: MapCatalogEntry(
         5, True, 4,
         lambda a: (a**2, 0, 0, 0, 1),
         lambda a: (0, 0, 1),
@@ -534,7 +524,7 @@ FAMILY_MAPS = {
                       (8 * a**2 - 4 * v**2) * a**2,
                       (-3 * v * a**2 + v**3) * a**2),
         lambda a, v: (1, -2 * v, 2 * a**2 + v**2, -2 * v * a**2, a**4)),
-    6: _entry(
+    6: MapCatalogEntry(
         6, False, 4,
         lambda a: (1, 0, 2, 0, 1),
         lambda a: (0, -1, 0, 1),
@@ -568,8 +558,7 @@ def instantiate(entry: MapCatalogEntry, alpha=None, v=None) -> RationalMap:
                 None)
     else:
         v = Fraction(v)
-        numf = entry.twisted_num_override or entry.twisted_num
-        num = numf(alpha, v)
+        num = entry.twisted_num(alpha, v)
         den = entry.twisted_den(alpha, v)
         prov = (entry.family_index, alpha if entry.needs_alpha else None, v)
     num = _trim([Fraction(c) for c in num])

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from aimg.arithcond import (
     DEGREE4_NONTRIVIAL,
     DEGREE4_TRIVIAL,
     NOT_DEGREE4,
+    _cubic_irreducible,
     eval_condition,
     is_rational_square,
     nested_radical_min_poly,
@@ -225,6 +227,12 @@ def test_parse_vcondition_schema_errors():
             parse_vcondition(bad)
 
 
+def test_zero_denominator_is_a_schema_error():
+    with pytest.raises(SchemaError):
+        parse_vcondition({"all": [{"kind": "specific_set",
+                                   "values": [1, "1/0"]}]})
+
+
 def test_eval_condition_trace_and_verdicts():
     cond = parse_vcondition({"all": [
         {"kind": "squarefree_not_pm1"},
@@ -269,3 +277,19 @@ def test_cubic_proxy_leaf():
     assert not eval_condition(cond, 8).ok
     res = eval_condition(cond, 2)
     assert "experimental" in res.trace[0][2]
+
+
+_COEFF = st.one_of(st.just(Fraction(0)),
+                   st.fractions(-12, 12, max_denominator=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coeffs=st.lists(_COEFF, min_size=4, max_size=4))
+def test_cubic_irreducible_matches_sympy(coeffs):
+    # ascending coefficients; a zero constant term makes x a factor, and a
+    # zero leading one leaves no cubic at all
+    x = sympy.Symbol("x")
+    desc = [sympy.Rational(c.numerator, c.denominator)
+            for c in reversed(coeffs)]
+    want = coeffs[3] != 0 and sympy.Poly(desc, x, domain="QQ").is_irreducible
+    assert _cubic_irreducible(coeffs) == want

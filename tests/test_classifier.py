@@ -57,6 +57,18 @@ def test_load_catalog_schema_errors():
             load_catalog(bad)
 
 
+def test_zero_denominator_in_catalog_is_a_schema_error():
+    raw = sample_raw()
+    raw["entries"][1]["members"][0]["v"] = "1/0"
+    with pytest.raises(SchemaError):
+        load_catalog(raw)
+    raw = sample_raw()
+    raw["entries"][1]["members"][0]["conditions"] = {
+        "all": [{"kind": "specific_set", "values": ["1/0"]}]}
+    with pytest.raises(SchemaError):
+        load_catalog(raw)
+
+
 def test_duplicate_label_is_violation():
     raw = sample_raw()
     raw["entries"].append(raw["entries"][0])

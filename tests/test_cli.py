@@ -1,6 +1,7 @@
 """End-to-end exercises of the aimg command line interface via main()."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -35,6 +36,16 @@ def test_classify_stdout(capsys):
     assert code == 0
     report = json.loads(out)
     assert {"entries", "run"} == set(report)
+
+
+def test_classify_zero_denominator_exits_1(capsys, tmp_path):
+    raw = json.loads(resources.files("aimg").joinpath(
+        "data/sample_catalog.json").read_text())
+    raw["entries"][1]["conditions"] = {
+        "all": [{"kind": "specific_set", "values": ["1/0"]}]}
+    code, _, err = run(capsys, "classify", "--catalog",
+                       write_json(tmp_path, "cat.json", raw))
+    assert code == 1 and "SchemaError" in err
 
 
 def test_check_curve(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aimg.classifier import _member_commutator_index
 from aimg.errors import NotAbelian, NotAHomomorphism, NotEligible, NotNormal
 from aimg.families import (
     FamilySpec,
@@ -26,7 +27,7 @@ from aimg.matgroup import (
     unit_group,
 )
 from aimg.modmatrix import ResidueMatrix
-from aimg.opengroup import OpenSubgroup, commutator_open
+from aimg.opengroup import OpenSubgroup, commutator_open, transpose_group
 
 from oracle_helpers import (
     bfs_closure,
@@ -350,6 +351,8 @@ def test_spec_validation_errors():
 
 def conductor_of(phi, M):
     """Smallest divisor M' of M such that phi factors through (Z/M')^x."""
+    if M == 1:
+        return 1
     A = unit_group(M)
     units = [u for u in range(1, max(M, 2)) if math.gcd(u, M) == 1] or [1]
     for Mp in sorted(d for d in range(1, M + 1) if M % d == 0):
@@ -378,6 +381,23 @@ def test_commutator_shortcut_agrees_with_direct():
                 direct.commutator.finite_image(L).element_set
             verified += 1
     assert verified >= 3
+
+
+def test_classifier_shortcut_index_matches_direct():
+    # whenever the conductor escapes the base level, the rescaled
+    # shortcut index the classifier uses is the direct one of the member
+    verified = 0
+    for spec in random_specs(random.Random(43), 100):
+        for phi in enumerate_homs(spec.a_group, spec.quotient):
+            m = build_member(spec, phi)
+            idx, how = _member_commutator_index(
+                spec, m, conductor_of(phi, spec.modulus))
+            if how != "shortcut":
+                continue
+            assert idx == commutator_open(
+                transpose_group(m.group)).index_in_sl
+            verified += 1
+    assert verified >= 10
 
 
 def test_shortcut_not_applicable_when_primes_covered():

@@ -59,11 +59,17 @@ def _references(paths):
     return refs
 
 
-def test_every_top_level_definition_is_referenced():
+def _user_references():
+    """References from the package (bar __init__), the tests, the demos
+    and the benchmark."""
     users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     for folder in ("tests", "demos", "perfbench"):
         users += (ROOT / folder).glob("*.py")
-    refs = _references(users)
+    return _references(users)
+
+
+def test_every_top_level_definition_is_referenced():
+    refs = _user_references()
     dead = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -73,3 +79,22 @@ def test_every_top_level_definition_is_referenced():
         if names:
             dead[path.name] = names
     assert not dead, f"top-level definitions referenced nowhere: {dead}"
+
+
+def test_every_method_is_referenced():
+    """The same scan for the non-dunder methods and properties of the
+    package's classes."""
+    refs = _user_references()
+    dead = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = [f"{cls.name}.{node.name}"
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body
+                 if isinstance(node, ast.FunctionDef)
+                 and not (node.name.startswith("__")
+                          and node.name.endswith("__"))
+                 and node.name not in refs]
+        if names:
+            dead[path.name] = names
+    assert not dead, f"methods referenced nowhere: {dead}"

@@ -1,5 +1,6 @@
 """Open subgroups of GL2(Zhat): finite images, levels, commutators."""
 
+import itertools
 import math
 import random
 
@@ -13,7 +14,6 @@ from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
     _unit_gens,
-    commutator_index_class,
     commutator_open,
     det_image,
     full_gl2,
@@ -195,11 +195,12 @@ def test_commutator_of_sl2_preimage_mod3():
 
 
 def test_commutator_index_class_kinds():
-    assert commutator_index_class(OpenSubgroup.full()).kind == "index_two"
+    G = OpenSubgroup.full()
+    assert commutator_open(transpose_group(G)).index_in_sl == 2
     full_sl_pre = OpenSubgroup(2, tuple(
         RM(t, 2) for t in ((1, 1, 0, 1), (0, 1, 1, 0))))
     # preimage of full GL2(Z/2) is the full group again
-    assert commutator_index_class(full_sl_pre).kind == "index_two"
+    assert commutator_open(transpose_group(full_sl_pre)).index_in_sl == 2
 
 
 def test_cap_order_env(monkeypatch):
@@ -289,3 +290,81 @@ def test_genus_is_conjugation_invariant(G, data):
 @given(G=open_subgroups(range(1, 13)))
 def test_genus_is_transpose_invariant(G):
     assert genus(transpose_group(G)) == genus(G)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _reduce(gens, d):
+    return [tuple(v % d for v in g.entries) for g in gens]
+
+
+@st.composite
+def lifted_subgroups(draw):
+    """A random group at a level m <= 12 with up to three random elements
+    of the kernel of reduction to a divisor d of m among its generators,
+    so that its least level is often below m."""
+    m = draw(st.integers(1, 12))
+    d = draw(st.sampled_from(_divisors(m)))
+    kernel = [t for t in gl2_elements(m)
+              if (t[0] - 1) % d == t[1] % d == t[2] % d == (t[3] - 1) % d == 0]
+    gens = draw(st.lists(st.sampled_from(gl2_elements(m)),
+                         min_size=1, max_size=3))
+    gens += draw(st.lists(st.sampled_from(kernel), max_size=3))
+    return OpenSubgroup(m, tuple(RM(t, m) for t in gens))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(G=lifted_subgroups())
+def test_minimal_level_is_the_least_preimage_level(G):
+    m = G.level
+    size = len(bfs_closure([g.entries for g in G.gens], m))
+    least = next(d for d in _divisors(m)
+                 if len(bfs_closure(_reduce(G.gens, d), d))
+                 * len(gl2_elements(m)) // len(gl2_elements(d)) == size)
+    Gm = minimal_level(G)
+    assert Gm.level == least
+    assert preimage([g.entries for g in Gm.gens], least, m) == \
+        bfs_closure([g.entries for g in G.gens], m)
+
+
+def _sl2_kernel(c, d):
+    """The kernel of SL2(Z/c) -> SL2(Z/d): the matrices I + d*X, X mod
+    c/d, of determinant 1 mod c."""
+    k = c // d
+    out = []
+    for x in itertools.product(range(k), repeat=4):
+        t = ((1 + d * x[0]) % c, d * x[1] % c, d * x[2] % c,
+             (1 + d * x[3]) % c)
+        if (t[0] * t[3] - t[1] * t[2]) % c == 1 % c:
+            out.append(t)
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups((2, 3, 4, 6)))
+def test_commutator_is_presented_at_its_least_level(G):
+    # C sits in SL2(Z/c) and in the preimage of its mod-d image, which has
+    # |image| * |kernel| elements; it passes at d when the counts agree.
+    # Passing at d means containing the kernel, and the kernel at d holds
+    # the kernel at every multiple of d, so checking the maximal proper
+    # divisors c/p checks them all.
+    C = commutator_open(G).commutator
+    c = C.level
+    size = len(bfs_closure([g.entries for g in C.gens], c))
+    for p in (p for p in range(2, c + 1)
+              if c % p == 0 and all(p % q for q in range(2, p))):
+        d = c // p
+        image = len(bfs_closure(_reduce(C.gens, d), d))
+        assert image * len(_sl2_kernel(c, d)) != size
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(2, 13), min_gens=0))
+def test_transpose_group_keeps_the_recorded_order(G):
+    G.mod_level_group().order  # reading the order records it
+    T = transpose_group(G)
+    assert T.mod_level_group()._order == len(bfs_closure(
+        [(t[0], t[2], t[1], t[3]) for t in (g.entries for g in G.gens)],
+        G.level))
