@@ -115,6 +115,13 @@ class FamilySpec:
     def member_level(self) -> int:
         return math.lcm(self.base_level, self.modulus)
 
+    @cached_property
+    def least_base_level(self) -> int:
+        """lcm of the least levels of H and G0 (base_level may be a
+        multiple of it)."""
+        return math.lcm(minimal_level(self.h).level,
+                        minimal_level(self.g0).level)
+
 
 @dataclass
 class FamilyMember:
@@ -246,9 +253,7 @@ def commutator_shortcut(spec: FamilySpec, member: FamilyMember, Mv: int):
     with a direct member computation must rescale by
     [G0' ∩ SL2 : member ∩ SL2].
     """
-    base_level = math.lcm(minimal_level(spec.h).level,
-                          minimal_level(spec.g0).level)
-    if Mv <= 1 or math.gcd(Mv, base_level) != 1:
+    if Mv <= 1 or math.gcd(Mv, spec.least_base_level) != 1:
         return NOT_APPLICABLE
     Q = spec.quotient
     image = {member.phi(v) for v in spec.a_group.elements()}

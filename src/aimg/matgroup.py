@@ -57,11 +57,29 @@ def group_size_cap() -> int:
     return int(os.environ.get("AIMG_CAP_ORDER", DEFAULT_CAP))
 
 
+_TRIAL_BOUND = 1000
+# the first 13 primes: Miller-Rabin with these bases is deterministic
+# below 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _prime_factors(n: int):
+    """{p: e} for n >= 1.
+
+    Trial division by 2 and the odd numbers below _TRIAL_BOUND; a
+    cofactor of at least _TRIAL_BOUND**2 left after that is split by
+    Pollard-Brent rho, with Miller-Rabin (and a strong Lucas test above
+    _MR_LIMIT, i.e. BPSW) deciding primality.
+    """
     f = {}
     x = n
     p = 2
     while p * p <= x:
+        if p > _TRIAL_BOUND:
+            for q in _split(x):
+                f[q] = f.get(q, 0) + 1
+            return f
         while x % p == 0:
             f[p] = f.get(p, 0) + 1
             x //= p
@@ -69,6 +87,129 @@ def _prime_factors(n: int):
     if x > 1:
         f[x] = f.get(x, 0) + 1
     return f
+
+
+def _divisors(n: int) -> list:
+    """Positive divisors of n >= 1."""
+    out = [1]
+    for p, e in _prime_factors(n).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return out
+
+
+def _split(n: int):
+    """Prime factors, with multiplicity, of n > 1 free of small primes."""
+    out, todo = [], [n]
+    while todo:
+        x = todo.pop()
+        r = math.isqrt(x)
+        if r * r == x:
+            todo += (r, r)
+        elif _is_prime(x):
+            out.append(x)
+        else:
+            d = _rho(x)
+            todo += (d, x // d)
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of an odd non-square n with no factor below
+    _TRIAL_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_LIMIT or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters
+    (D the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1, Q = (1 - D)/4), for odd n that is not a square."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1, and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # binary Lucas chain for U_d, V_d with P = 1; halving mod odd n
+    # multiplies by the inverse of 2
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite non-square n (Brent's
+    variant of Pollard rho, with the gcd taken over batches of 128
+    steps; the polynomial x^2 + c moves on to c + 1 when a batch
+    collapses to n)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def gl2_order(n: int) -> int:

@@ -21,6 +21,7 @@ from .errors import (
     SchemaError,
     ZeroInput,
 )
+from .matgroup import _divisors
 
 __all__ = [
     "INFINITY",
@@ -427,21 +428,9 @@ def _rational_roots(coeffs):
         roots.add(Fraction(0))
     if len(p) == 1:
         return roots
-    a0, an = abs(p[0]), abs(p[-1])
-
-    def divisors(n):
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return out
-
     fp = [Fraction(c) for c in p]
-    for num in divisors(a0):
-        for den in divisors(an):
+    for num in _divisors(abs(p[0])):
+        for den in _divisors(abs(p[-1])):
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if _peval(fp, cand) == 0:
                     roots.add(cand)

@@ -202,6 +202,21 @@ def squarefree_kernel(n):
     return sign * out * n
 
 
+def prime_support(n):
+    """The set of primes dividing n >= 1, by trial division."""
+    out = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
 def quad_disc(d):
     """Discriminant of Q(sqrt(d)) for squarefree d != 0, 1."""
     return d if d % 4 == 1 else 4 * d

@@ -3,6 +3,7 @@ condition expression language, against independent oracles."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from aimg.errors import (
 from aimg.ratfunc import RationalMap
 
 from oracle_helpers import quad_in_cyclotomic, squarefree_kernel, \
-    biquadratic_factor_degrees
+    biquadratic_factor_degrees, prime_support, quad_disc
 
 
 def test_squarefree_part_matches_trial_division():
@@ -66,6 +67,29 @@ def test_quad_cyc_tower_matches_cyclotomic_oracle():
             contained = any(quad_in_cyclotomic(d, M ** k)
                             for k in range(1, 11))
             assert quad_cyc_trivial(d, M, "tower") == (not contained), (d, M)
+
+
+def _tower_trivial_oracle(d, M):
+    """Q(sqrt(d)) meets the K_{M^inf} tower only in Q unless every prime
+    of its discriminant divides M."""
+    d0 = squarefree_kernel(d)
+    if d0 == 1:
+        return True
+    return not prime_support(abs(quad_disc(d0))) <= prime_support(M)
+
+
+def test_quad_cyc_tower_matches_prime_support():
+    # every M <= 200 against every |d| <= 300, then 40,000 seeded pairs
+    # from the whole box 1 <= M <= 200, |d| <= 10^4 (exhaustively it is
+    # 4 million calls)
+    pairs = [(d, M) for M in range(1, 201)
+             for d in range(-300, 301) if d]
+    rng = random.Random(9)
+    pairs += [(rng.choice((-1, 1)) * rng.randint(1, 10 ** 4),
+               rng.randint(1, 200)) for _ in range(40_000)]
+    for d, M in pairs:
+        assert quad_cyc_trivial(d, M, "tower") == \
+            _tower_trivial_oracle(d, M), (d, M)
 
 
 def test_quad_cyc_fixed_matches_cyclotomic_oracle():
@@ -191,6 +215,48 @@ def test_nested_radical_min_poly_numeric_and_degree():
             x = sympy.symbols("x")
             poly = sum(c * x ** k for k, c in enumerate(coeffs))
             assert sympy.Poly(poly, x).is_irreducible
+
+
+def _nested_radical_oracle(shape, v):
+    """sympy's minimal polynomial of the displayed radical, normalized,
+    or the (exception class, message) expected instead."""
+    x = sympy.Symbol("x")
+    vs = sympy.Rational(v.numerator, v.denominator)
+    k = 16 if shape == "pi4" else -16
+    inner = vs ** 2 + k
+    if inner == 0:
+        return DegenerateRadicand, f"inner radicand vanishes at v = {v}"
+    second = (vs ** 2 / 2 - (vs ** 3 + k * vs) / (2 * sympy.sqrt(inner))
+              + (8 if shape == "pi4" else 0))
+    if second == 0:
+        return DegenerateRadicand, f"outer radicand vanishes at v = {v}"
+    expr = -sympy.sqrt(inner) / 4 + sympy.sqrt(second) / 2
+    # compose=False (Groebner bases) gives the same polynomial as the
+    # default, several times faster on these radicals
+    poly = sympy.minimal_polynomial(expr, x, polys=True, compose=False)
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    if len(coeffs) != 5:
+        return DegenerateRadicand, (
+            f"radical generates a degree-{len(coeffs) - 1} extension "
+            f"at v = {v}")
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return tuple(c // g for c in coeffs)
+
+
+@pytest.mark.parametrize("shape", ["pi4", "pi6"])
+def test_nested_radical_min_poly_matches_sympy(shape):
+    # v = p/q with |p| <= 40, q <= 12, the degenerate v included: pi4 at
+    # v = 0, ±3, ±5/3, ... (a = v^2 + 16 a square), pi6 at v = ±4 and 0
+    values = sorted({Fraction(p, q) for p in range(-40, 41)
+                     for q in range(1, 13)})
+    for v in values:
+        want = _nested_radical_oracle(shape, v)
+        if isinstance(want[0], int):
+            assert nested_radical_min_poly(shape, v) == want, v
+        else:
+            with pytest.raises(want[0]) as err:
+                nested_radical_min_poly(shape, v)
+            assert str(err.value) == want[1], v
 
 
 def test_nested_radical_degenerate():

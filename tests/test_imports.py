@@ -1,8 +1,12 @@
 """Every module-level import in the package is used (a stdlib-ast check,
-since no linter is a test dependency)."""
+since no linter is a test dependency), and sympy, a test-only oracle, is
+never imported by the package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import aimg
 
@@ -98,3 +102,38 @@ def test_every_method_is_referenced():
         if names:
             dead[path.name] = names
     assert not dead, f"methods referenced nowhere: {dead}"
+
+
+def test_package_never_imports_sympy():
+    """No import of sympy anywhere in the package, at any depth."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in mods
+                      if m.split(".")[0] == "sympy"]
+    assert not found, f"sympy imported at {found}"
+
+
+def test_classify_run_leaves_sympy_unloaded(tmp_path):
+    """Importing aimg and aimg.cli and classifying the shipped catalog
+    through cli.main loads no sympy module."""
+    code = (
+        "import sys\n"
+        "import aimg, aimg.cli\n"
+        f"rc = aimg.cli.main(['classify', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr

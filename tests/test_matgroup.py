@@ -3,9 +3,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
+from aimg.arithcond import squarefree_part
 from aimg.errors import NotAbelian, NotAHomomorphism
 from aimg.matgroup import (
     AbelianHom,
@@ -20,6 +24,7 @@ from aimg.matgroup import (
     is_conjugate_subgroup,
     quotient_group,
     unit_group,
+    _prime_factors,
 )
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import full_gl2, full_sl2, gl2_order, sl2_order
@@ -267,3 +272,40 @@ def test_is_conjugate_subgroup():
     b = closure([ResidueMatrix.from_tuple((2, 0, 0, 3), 5)])
     ok, witness = is_conjugate_subgroup(a, b)
     assert not ok and witness is None
+
+
+# --- the prime factorizer, against sympy.factorint ---
+
+_PRIMES_NEAR_2_30 = st.integers(2 ** 29, 2 ** 30).map(sympy.nextprime)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2 ** 90))
+# Carmichael numbers
+@example(n=561)
+@example(n=41041)
+# strong pseudoprimes to the first 1, 4, 9 and 11 prime bases
+@example(n=2047)
+@example(n=3215031751)
+@example(n=3825123056546413051)
+@example(n=318665857834031151167461)
+# a prime square above 2^60, and a prime above the 13-base Miller-Rabin
+# bound, where the strong Lucas test decides
+@example(n=(2 ** 61 - 1) ** 2)
+@example(n=2 ** 89 - 1)
+@example(n=(2 ** 89 - 1) * 3 ** 40)
+def test_prime_factors_match_sympy(n):
+    assert _prime_factors(n) == sympy.factorint(n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(p=_PRIMES_NEAR_2_30, q=_PRIMES_NEAR_2_30)
+def test_prime_factors_split_two_primes_near_2_30(p, q):
+    assert _prime_factors(p * q) == sympy.factorint(p * q)
+
+
+def test_squarefree_part_beyond_trial_division():
+    # trial division alone would run to 2^61
+    t0 = time.perf_counter()
+    assert squarefree_part((2 ** 31 - 1) ** 2 * (2 ** 61 - 1)) == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 1.0
