@@ -423,10 +423,13 @@ def classify(entries) -> ClassificationReport:
             own = commutator_open(transpose_group(entry.group))
             rep.commutator_index = own.index_in_sl
             rep.bucket = _bucket(own.index_in_sl)
+            specs = {}  # one FamilySpec per distinct Mv of the entry
             for md in entry.members:
                 mrep = MemberReport(md.v, md.Mv, None, None, None, None)
                 try:
-                    spec = FamilySpec(g0, entry.group, md.Mv)
+                    if md.Mv not in specs:
+                        specs[md.Mv] = FamilySpec(g0, entry.group, md.Mv)
+                    spec = specs[md.Mv]
                     phi = AbelianHom(spec.a_group, spec.quotient,
                                      md.phi_images)
                     member = build_member(spec, phi, v_tag=md.v)

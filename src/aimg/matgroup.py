@@ -9,6 +9,12 @@ iteration order (generator order, then discovery order), so coset
 representatives and reports are reproducible.  A configurable cap (env var
 ``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size; hitting
 it raises ResourceExceeded rather than truncating silently.
+
+Normal closures, and so derived subgroups, are closed by BFS only mod
+rad(n).  Above it they are counted through the congruence layers: the
+kernel of GL2(Z/dp) -> GL2(Z/d) is M2(F_p) for p | d, so the part in the
+kernel mod rad(n) is an F_p-linear induced sequence, and the group comes
+back with its order recorded and unmaterialized.
 """
 
 from __future__ import annotations
@@ -465,8 +471,86 @@ def index_and_cosets(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
     return index, [ResidueMatrix.from_tuple(r, n) for r in reps]
 
 
+def _layer_sequence(n, r, conj, items):
+    """Generators and order of the smallest subgroup T of K(r) that
+    contains ``items`` and is normalized by the conjugations ``conj``
+    ((g, g^-1) pairs mod n), with K(d) the kernel of GL2(Z/n) -> GL2(Z/d)
+    and r = rad(n).
+
+    K(r) is cut by the chain r = d_0 | d_1 | ... | n, each step d -> dp
+    by a prime p.  K(d)/K(dp) is elementary abelian, I + dX -> X mod p
+    maps it onto M2(F_p), and it is central in K(r)/K(dp).  T is kept as
+    an induced sequence (Holt-Eick-O'Brien, Handbook of CGT, ch. 8): per
+    layer, elements whose coordinates are semi-echelon, each row 1 at its
+    pivot and 0 at the pivots of the rows before it.  An element is
+    sifted by clearing the pivot coordinates, row by row and layer by
+    layer; whatever survives is inserted, and its p-th power, its
+    commutators with the sequence and its conjugates are sifted in turn.
+    Once nothing is left to sift, T is the set of ordered products of
+    powers of the sequence, so |T| = prod p^(rows in each layer).
+    """
+    chain = []
+    d = r
+    while d < n:
+        p = min(_prime_factors(n // d))
+        chain.append((d, p))
+        d *= p
+    rows = [[] for _ in chain]  # (pivot, coordinates, [x^-1, ..., x^-(p-1)])
+    seq = []
+    todo = list(items)
+    while todo:
+        x = todo.pop()
+        for i, (d, p) in enumerate(chain):
+            v = [(a - e) // d % p for a, e in zip(x, TID)]
+            for piv, w, inv_pows in rows[i]:
+                c = v[piv]
+                if c:
+                    x = tmul(x, inv_pows[c - 1], n)
+                    v = [(a - c * b) % p for a, b in zip(v, w)]
+            if any(v):
+                break
+        else:
+            continue
+        piv = next(j for j, a in enumerate(v) if a)
+        k = pow(v[piv], -1, p)
+        x = _power(x, k, n)
+        v = [a * k % p for a in v]
+        xi = tinv(x, n)
+        inv_pows = [_power(xi, c, n) for c in range(1, p)]
+        rows[i].append((piv, v, inv_pows))
+        todo.append(_power(x, p, n))
+        todo.extend(tmul(tmul(x, y, n), tmul(xi, tinv(y, n), n), n)
+                    for y in seq)
+        todo.extend(tmul(tmul(g, x, n), gi, n) for g, gi in conj)
+        seq.append(x)
+    return seq, math.prod(p ** len(rs) for (_, p), rs in zip(chain, rows))
+
+
+def _power(x, k, n):
+    """x^k mod n for 0 <= k, by k multiplications (k stays below a small
+    prime here)."""
+    out = TID
+    for _ in range(k):
+        out = tmul(out, x, n)
+    return out
+
+
 def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest subgroup N that contains the seed elements and is
+    normalized by G: the normal closure in G when the seeds lie in G.
+
+    N is closed by BFS only at r = rad(n), n the modulus: conjugation by
+    G's generators closes the seed images there, and S (``lifts``) keeps
+    the mod-n lift of every element that grew that closure.  When r = n
+    that closure is N, returned materialized.  Otherwise
+    N = <S> * (N ∩ K(r)), K(r) the kernel of reduction mod r, and
+    N ∩ K(r) is the smallest subgroup of K(r) normalized by G that holds
+    the Schreier generators of <S> ∩ K(r) and t^-1 x for every seed x and
+    every conjugate x = g s g^-1 (g a generator of G, s in S), t the
+    transversal word of x mod r.  It is counted through the congruence
+    layers by _layer_sequence, so N is returned with its order recorded
+    and is not materialized.
+    """
     n = G.modulus
     gens = []
     for s in seeds:
@@ -476,20 +560,38 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
             gens.append(t)
     if not gens:
         return FiniteMatrixGroup(n, [ResidueMatrix.identity(n)])
-    clo = _Closure(n, gens)
+    r = math.prod(_prime_factors(n))
+    clo = _Closure(r)
+    lifts = [x for x in gens if clo.add_gen(x)]
+    conj = [(g, tinv(g, n)) for g in G.generator_tuples]
     changed = True
     while changed:
         changed = False
-        for g in G.generator_tuples:
-            gi = tinv(g, n)
-            for s in list(clo.gens):
+        for g, gi in conj:
+            for s in list(lifts):
                 c = tmul(tmul(g, s, n), gi, n)
-                if c not in clo.seen:
-                    clo.add_gen(c)
+                if clo.add_gen(c):
+                    lifts.append(c)
                     changed = True
-    sub = FiniteMatrixGroup(n, [ResidueMatrix.from_tuple(t, n) for t in clo.gens])
-    sub._elements = tuple(clo.elems)
-    sub._eset = frozenset(clo.seen)
+    if r == n:
+        sub = FiniteMatrixGroup(n, lifts)
+        sub._elements = tuple(clo.elems)
+        sub._eset = frozenset(clo.seen)
+        return sub
+
+    def low(x):
+        return tuple(v % r for v in x)
+
+    lifts_low = {s: low(s) for s in lifts}
+    trans, schreier = _schreier(lifts, n, low(TID),
+                                lambda q, s: tmul(q, lifts_low[s], r))
+    inverse = {q: tinv(t, n) for q, t in trans.items()}
+    conjugates = [tmul(tmul(g, s, n), gi, n) for g, gi in conj for s in lifts]
+    seq, layer_order = _layer_sequence(
+        n, r, conj, schreier + [tmul(inverse[low(x)], x, n)
+                                for x in gens + conjugates])
+    sub = FiniteMatrixGroup(n, lifts + seq)
+    sub._order = len(trans) * layer_order
     return sub
 
 

@@ -367,8 +367,9 @@ class CommutatorResult:
 
 def _part_data(G: OpenSubgroup, L: int, cache: dict):
     """(D(L), [G(L) ∩ SL2 : D(L)]) with D(L) the derived subgroup of
-    G(L).  D(L) is closed from G(L)'s generators and the SL2-part is
-    counted by sl_count, so neither enumerates G(L)."""
+    G(L).  D(L) is closed by BFS only mod rad(L) and counted through the
+    congruence layers above it, and the SL2-part is counted by sl_count,
+    so neither D(L) nor G(L) is enumerated."""
     if L not in cache:
         der = derived_subgroup(G.finite_image(L))
         cache[L] = (der, sl_count(G, L) // der.order)

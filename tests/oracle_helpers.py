@@ -62,6 +62,22 @@ def mat_inv(x, n):
             (-x[2] * di) % n, (x[0] * di) % n)
 
 
+def normal_closure(gens, seeds, n):
+    """The smallest subgroup that holds ``seeds`` and is closed under
+    conjugation by ``gens``: a BFS closure of the seeds, re-run with every
+    conjugate g s g^-1 (g in gens, s a generator so far) that falls
+    outside it, until none does."""
+    sub = list(seeds)
+    inverses = [mat_inv(g, n) for g in gens]
+    while True:
+        span = bfs_closure(sub, n)
+        outside = {mat_mul(mat_mul(g, s, n), gi, n)
+                   for g, gi in zip(gens, inverses) for s in sub} - span
+        if not outside:
+            return span
+        sub += sorted(outside)
+
+
 def normal_subgroups(elems, n):
     """All normal subgroups of the finite group ``elems`` (tuples mod n),
     as frozensets: the unions of conjugacy classes that contain the

@@ -22,12 +22,15 @@ from aimg.matgroup import (
     enumerate_homs,
     index_and_cosets,
     is_conjugate_subgroup,
+    normal_closure,
     quotient_group,
     unit_group,
     _prime_factors,
 )
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import full_gl2, full_sl2, gl2_order, sl2_order
+
+import oracle_helpers
 
 
 def mul(x, y, n):
@@ -272,6 +275,58 @@ def test_is_conjugate_subgroup():
     b = closure([ResidueMatrix.from_tuple((2, 0, 0, 3), 5)])
     ok, witness = is_conjugate_subgroup(a, b)
     assert not ok and witness is None
+
+
+# --- normal closures through the congruence layers, against BFS ---
+
+# r = rad(n) < n at each level; 4, 8, 12, 16 and 24 have the p = 2 layer
+# at d = 2, and 12, 18 and 24 mix primes.
+LAYER_LEVELS = {4: 2, 8: 2, 9: 3, 12: 6, 16: 2, 18: 6, 24: 6, 27: 3}
+
+
+@st.composite
+def layered_groups(draw):
+    """(n, generators, word, kernel seeds): two random generators at a
+    level of LAYER_LEVELS and up to one element I + rX of the kernel of
+    reduction mod r = rad(n) (at 27, where two random generators usually
+    span 10^5 elements, one of each), a word of one to three generators,
+    and two more kernel elements, which need not lie in the group."""
+    n = draw(st.sampled_from(sorted(LAYER_LEVELS)))
+    r = LAYER_LEVELS[n]
+    invertible = st.sampled_from(oracle_helpers.gl2_elements(n))
+    kernel = st.tuples(*[st.integers(0, n // r - 1)] * 4).map(
+        lambda x: ((1 + r * x[0]) % n, r * x[1], r * x[2],
+                   (1 + r * x[3]) % n))
+    if n == 27:
+        gens = [draw(invertible), draw(kernel)]
+    else:
+        gens = [draw(invertible), draw(invertible)]
+        gens += draw(st.lists(kernel, max_size=1))
+    word = (1, 0, 0, 1)
+    for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+        word = mul(word, g, n)
+    return n, gens, word, [draw(kernel), draw(kernel)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=layered_groups())
+def test_layered_normal_closure_matches_brute_force(data):
+    n, gens, word, outside = data
+    G = FiniteMatrixGroup(n, gens)
+    inv = [oracle_helpers.mat_inv(g, n) for g in gens]
+    commutators = [mul(mul(x, y, n), mul(xi, yi, n), n)
+                   for x, xi in zip(gens, inv) for y, yi in zip(gens, inv)]
+    # in the trivial group the kernel elements span a subgroup of K(r)
+    # that only the sifted commutators of its sequence fill out
+    trivial = FiniteMatrixGroup(n, [(1, 0, 0, 1)])
+    for got, conj, seeds in (
+            (derived_subgroup(G), gens, commutators),
+            (normal_closure(G, [word]), gens, [word]),
+            (normal_closure(G, outside), gens, outside),
+            (normal_closure(trivial, outside), [], outside)):
+        want = oracle_helpers.normal_closure(conj, seeds, n)
+        assert got.order == len(want)
+        assert got.element_set == want
 
 
 # --- the prime factorizer, against sympy.factorint ---

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aimg.errors import ResourceExceeded, SchemaError
-from aimg.matgroup import FiniteMatrixGroup, closure
+from aimg.families import FamilySpec, build_member
+from aimg.matgroup import (
+    FiniteMatrixGroup,
+    closure,
+    derived_subgroup,
+    enumerate_homs,
+)
 from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
@@ -222,6 +228,22 @@ def test_cap_error_carries_closure_state(monkeypatch):
     assert f"{err.generators} generators" in str(err)
 
 
+def test_commutator_ramp_counts_derived_subgroups_under_a_small_cap(
+        monkeypatch):
+    # The members of (GL2, SL2(3)-preimage, M = 8) at level 24.  Two of
+    # them ramp through levels 48 and 72, where the derived subgroups have
+    # 36,864 and 124,416 elements; they are counted through the congruence
+    # layers, so no closure comes near the cap.
+    monkeypatch.setenv("AIMG_CAP_ORDER", "20000")
+    h3 = OpenSubgroup(3, (RM((1, 1, 0, 1), 3), RM((0, 2, 1, 0), 3)))
+    spec = FamilySpec(OpenSubgroup.full(), h3, 8)
+    got = []
+    for phi in enumerate_homs(spec.a_group, spec.quotient):
+        res = commutator_open(build_member(spec, phi).group)
+        got.append((res.index_in_sl, res.saturation_level))
+    assert got == [(6, 6), (2, 24), (2, 12), (2, 24)]
+
+
 # ---------------------------------------------------------------------------
 # Properties over random groups, against the brute-force preimage
 
@@ -340,6 +362,20 @@ def _sl2_kernel(c, d):
         if (t[0] * t[3] - t[1] * t[2]) % c == 1 % c:
             out.append(t)
     return out
+
+
+# a level far above where the ramp stops, per group level
+PROBE_LEVEL = {2: 288, 3: 216, 4: 288, 6: 144}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(G=open_subgroups((2, 3, 4, 6)))
+def test_ramp_index_holds_at_a_high_level(G):
+    # the ramp's stop rule is checked, not proved: the index it stops at
+    # must still be the index of D(L) in the SL2-part far above it
+    L = PROBE_LEVEL[G.level]
+    assert commutator_open(G).index_in_sl == \
+        sl_count(G, L) // derived_subgroup(G.finite_image(L)).order
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
