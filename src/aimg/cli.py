@@ -232,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = os.environ.get("AIMG_CAP_ORDER")
     if args.cap_order is not None:
         os.environ["AIMG_CAP_ORDER"] = str(args.cap_order)
     try:
@@ -242,6 +243,11 @@ def main(argv=None) -> int:
     except AimgError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    finally:
+        if previous is None:
+            os.environ.pop("AIMG_CAP_ORDER", None)
+        else:
+            os.environ["AIMG_CAP_ORDER"] = previous
 
 
 if __name__ == "__main__":

@@ -38,12 +38,11 @@ class NotAHomomorphism(AimgError):
 
 
 class ResourceExceeded(AimgError):
-    """A configured cap (group size, saturation level) was hit.
+    """The configured group-size cap was hit.
 
     Carries the partial state reached so callers can report it: the size
-    or level reached (``partial``) and, for a closure, the modulus it ran
-    at and how many generators it had taken in (``modulus``,
-    ``generators``).
+    reached (``partial``) and, for a closure, the modulus it ran at and
+    how many generators it had taken in (``modulus``, ``generators``).
     """
 
     def __init__(self, message, partial=None, modulus=None, generators=None):

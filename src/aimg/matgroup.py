@@ -10,11 +10,12 @@ representatives and reports are reproducible.  A configurable cap (env var
 ``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size; hitting
 it raises ResourceExceeded rather than truncating silently.
 
-Normal closures, and so derived subgroups, are closed by BFS only mod
+Orders, normal closures and derived subgroups are closed by BFS only mod
 rad(n).  Above it they are counted through the congruence layers: the
 kernel of GL2(Z/dp) -> GL2(Z/d) is M2(F_p) for p | d, so the part in the
 kernel mod rad(n) is an F_p-linear induced sequence, and the group comes
-back with its order recorded and unmaterialized.
+back with its order recorded and unmaterialized.  Membership and element
+sets still close the group.
 """
 
 from __future__ import annotations
@@ -345,9 +346,10 @@ class FiniteMatrixGroup:
     """A subgroup of GL2(Z/NZ), given by generators, with lazily
     materialized element set.
 
-    A caller that knows the order from a formula records it in ``_order``;
-    ``order`` then reads it without closing the group, and a later
-    materialization asserts that the closure has that many elements.
+    ``order`` is counted through the congruence layers, as the normal
+    closure of the generators, unless a caller that knows it from a
+    formula recorded it in ``_order``.  A later materialization asserts
+    that the closure has that many elements.
     """
 
     def __init__(self, modulus: int, generators):
@@ -409,7 +411,13 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         if self._order is None:
-            self._order = len(self.elements)
+            if self._elements is not None:
+                self._order = len(self._elements)
+            else:
+                sub = normal_closure(self, self.generator_tuples)
+                self._order = sub._order
+                if sub._elements is not None:
+                    self._elements, self._eset = sub._elements, sub._eset
         return self._order
 
     def __contains__(self, x):
@@ -438,7 +446,9 @@ class FiniteMatrixGroup:
                    for x, y in itertools.combinations(gens, 2))
 
     def __repr__(self):
-        size = "?" if self._elements is None else len(self._elements)
+        size = self._order
+        if size is None:
+            size = "?" if self._elements is None else len(self._elements)
         return (f"FiniteMatrixGroup(mod {self.modulus}, "
                 f"{len(self.generator_tuples)} gens, order {size})")
 
@@ -559,7 +569,9 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
         if t != TID and t not in gens:
             gens.append(t)
     if not gens:
-        return FiniteMatrixGroup(n, [ResidueMatrix.identity(n)])
+        sub = FiniteMatrixGroup(n, [ResidueMatrix.identity(n)])
+        sub._order = 1
+        return sub
     r = math.prod(_prime_factors(n))
     clo = _Closure(r)
     lifts = [x for x in gens if clo.add_gen(x)]
@@ -577,6 +589,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
         sub = FiniteMatrixGroup(n, lifts)
         sub._elements = tuple(clo.elems)
         sub._eset = frozenset(clo.seen)
+        sub._order = len(clo.elems)
         return sub
 
     def low(x):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import ResourceExceeded, SchemaError
+from .errors import SchemaError
 from .matgroup import (
     FiniteMatrixGroup,
     derived_subgroup,
@@ -37,10 +37,7 @@ __all__ = [
     "transpose_group",
     "minimal_level",
     "commutator_open",
-    "SATURATION_EXPONENT_CAP",
 ]
-
-SATURATION_EXPONENT_CAP = 12
 
 
 def _unit_gens(n: int):
@@ -352,12 +349,11 @@ def minimal_level(G: OpenSubgroup) -> OpenSubgroup:
 
 @dataclass(frozen=True)
 class CommutatorResult:
-    """[G, G] at its saturation level.
-
-    ``commutator`` is presented at a finite level and denotes the preimage
-    of its mod-level image inside SL2(Zhat).  ``index_in_sl`` is the exact
-    index [G ∩ SL2(Zhat) : [G, G]].
-    """
+    """[G, G] at its least level c, as the preimage of its mod-c image
+    inside SL2(Zhat), and the exact index [G ∩ SL2(Zhat) : [G, G]].
+    ``saturation_level`` is lcm(m, 6, c), m the least level of G: at every
+    multiple L of it the index is that of D(L) = [G(L), G(L)] in
+    G(L) ∩ SL2."""
 
     commutator: OpenSubgroup
     index_in_sl: int
@@ -365,82 +361,56 @@ class CommutatorResult:
     det_full: bool
 
 
-def _part_data(G: OpenSubgroup, L: int, cache: dict):
-    """(D(L), [G(L) ∩ SL2 : D(L)]) with D(L) the derived subgroup of
-    G(L).  D(L) is closed by BFS only mod rad(L) and counted through the
-    congruence layers above it, and the SL2-part is counted by sl_count,
-    so neither D(L) nor G(L) is enumerated."""
-    if L not in cache:
-        der = derived_subgroup(G.finite_image(L))
-        cache[L] = (der, sl_count(G, L) // der.order)
-    return cache[L]
-
-
-def _ramp_part(G: OpenSubgroup, start_level: int, primes):
-    """Per-prime exponent ramp with the two-condition stop rule: the index
-    of the derived image in the SL2-part must be stable across one full
-    step, and the higher-level derived image must be the full
-    SL2-preimage of the lower one."""
-    cache = {}
-    L = start_level
-    for p in sorted(primes):
-        while True:
-            exp = 0
-            t = L
-            while t % p == 0:
-                t //= p
-                exp += 1
-            if exp >= SATURATION_EXPONENT_CAP:
-                raise ResourceExceeded(
-                    f"commutator saturation cap {p}^{SATURATION_EXPONENT_CAP}"
-                    f" reached", partial=L)
-            Lp = L * p
-            d0, idx0 = _part_data(G, L, cache)
-            d1, idx1 = _part_data(G, Lp, cache)
-            kernel = sl2_order(Lp) // sl2_order(L)
-            if idx0 == idx1 and d1.order == d0.order * kernel:
-                break
-            L = Lp
-    der, idx = _part_data(G, L, cache)
-    return L, der, idx
+def _part_data(G: OpenSubgroup, L: int):
+    """(D(L) at its least level, [G(L) ∩ SL2 : D(L)]) with D(L) the
+    derived subgroup of G(L).  D(L) is closed by BFS only mod rad(L) and
+    counted through the congruence layers above it, and the SL2-part is
+    counted by sl_count, so neither D(L) nor G(L) is enumerated."""
+    der = derived_subgroup(G.finite_image(L))
+    return _least_level(der, sl2_order), sl_count(G, L) // der.order
 
 
 @lru_cache(maxsize=None)
 def _full_factor_commutator(ell: int):
-    """Commutator data of the full GL2(Z_ell) factor: (level, derived
-    image, index of the commutator in SL2(Z_ell))."""
-    return _ramp_part(OpenSubgroup.full(), ell, [ell])
+    """_part_data of a full GL2(Z_ell) factor at ell^2, which holds its
+    commutator by the lemma in commutator_open (GL2(Z_ell) ⊇ K_1)."""
+    return _part_data(OpenSubgroup.full(), ell * ell)
 
 
 def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     """[G, G] as an open subgroup of SL2(Zhat), with its exact index in
-    G ∩ SL2(Zhat).
+    G ∩ SL2(Zhat), counted once per part at a level proved to hold it.
 
-    Saturation runs over the primes of 6 * level: primes dividing the
-    level are ramped on the level part, and the primes 2, 3 not dividing
-    the level contribute the (cached) commutator of a full GL2(Z_ell)
-    factor.  Primes >= 5 away from the level satisfy
-    SL2(Z_ell) ⊆ [G, G] and contribute nothing.
+    Lemma: for K_e = I + ell^e M2(Z_ell), e >= 1, the closure C of
+    [K_e, K_e] contains SL2(Z_ell) ∩ K_2e.  (1) For a = ell^e X and
+    b = ell^e Y, (1 + a)(1 + b)(1 + a)^-1(1 + b)^-1 = I + ell^2e [X, Y]
+    mod ell^3e, and the brackets span sl2(F_ell) for every ell
+    ([E11, E12] = E12, [E11, E21] = -E21, [E12, E21] = E11 - E22), so C
+    fills the SL2 layer at ell^2e.  (2) For h = I + ell^k Z in C, k >= 2e,
+    h^ell = I + ell^(k+1) Z mod ell^(k+2) (for ell = 2 as 2k >= k + 2), so
+    C fills every SL2 layer above, and C is closed.
 
-    The parts sit at coprime levels, so [G, G] is their product: each
-    part is presented at its own least level and the parts are joined by
-    CRT, so nothing is closed at the saturation level itself.
+    G, m its least level, contains K(m), so G = G_m x prod_{ell ∤ m}
+    GL2(Z_ell) and [G, G] is the product of the factors' commutators:
+    [G_m, G_m] holds SL2 ∩ K(m^2), and [GL2(Z_ell), GL2(Z_ell)] holds
+    SL2 ∩ K(ell^2) for ell = 2, 3 (GL2(Z_ell) ⊇ K_1) and is SL2(Z_ell) for
+    ell >= 5.  So each part is the SL2-preimage of its derived image D(L)
+    at L = m^2 or ell^2, and its index is read off D(L).  (2) only runs
+    from k >= 2, so the 2-exponent-1 case, where (I + 2X)^2 =
+    I + 4(X + X^2) (see finite_image), never arises.  The parts sit at
+    coprime levels, so [G, G] is their product: each is presented at its
+    own least level, joined by CRT.
     """
     Gm = minimal_level(G)
     m = Gm.level
     full_det = det_image(Gm).full
 
-    parts = []
-    if m > 1:
-        parts.append(_ramp_part(Gm, m, _prime_factors(m)))
-    for ell in (2, 3):
-        if m % ell != 0:
-            parts.append(_full_factor_commutator(ell))
-
-    T = math.prod(level for level, _, _ in parts)
-    index = math.prod(idx for _, _, idx in parts)
-    imgs = [_least_level(der, sl2_order) for _, der, _ in parts]
+    parts = [_part_data(Gm, m * m)] if m > 1 else []
+    parts += [_full_factor_commutator(ell) for ell in (2, 3) if m % ell]
+    index = math.prod(idx for _, idx in parts)
+    imgs = [img for img, _ in parts]
     lvl = math.prod(img.modulus for img in imgs)
+    T = math.lcm(m, 6, lvl)
     if lvl == 1:
         return CommutatorResult(OpenSubgroup.full(), index, T, full_det)
     gens = []

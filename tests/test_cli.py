@@ -1,6 +1,7 @@
 """End-to-end exercises of the aimg command line interface via main()."""
 
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -96,19 +97,16 @@ def test_commutator_full_group(capsys, tmp_path):
     assert json.loads(out)["index_in_sl2"] == 2
 
 
-def test_cap_order_flag(capsys, tmp_path):
-    import os
+def test_cap_order_flag(capsys, tmp_path, monkeypatch):
+    # the flag applies to the run only; the caller's setting survives it
+    monkeypatch.setenv("AIMG_CAP_ORDER", "123456")
     grp = write_json(tmp_path, "g.json",
                      {"level": 5, "gens": [[1, 1, 0, 1], [0, 4, 1, 0],
                                            [2, 0, 0, 1]]})
-    try:
-        code, _, err = run(capsys, "--cap-order", "10", "genus",
-                           "--group", grp)
-    finally:
-        # main() exports the flag into the environment; undo it
-        os.environ.pop("AIMG_CAP_ORDER", None)
+    code, _, err = run(capsys, "--cap-order", "10", "genus", "--group", grp)
     assert code == 1
     assert "ResourceExceeded" in err
+    assert os.environ["AIMG_CAP_ORDER"] == "123456"
 
 
 def test_surjectivity(capsys, tmp_path):

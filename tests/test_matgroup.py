@@ -329,6 +329,26 @@ def test_layered_normal_closure_matches_brute_force(data):
         assert got.element_set == want
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=layered_groups())
+def test_order_is_counted_without_closing(data):
+    # above rad(n) the order comes from the congruence layers, and a later
+    # closure asserts it
+    n, gens, _, _ = data
+    G = FiniteMatrixGroup(n, gens)
+    assert G.order == len(oracle_helpers.bfs_closure(gens, n))
+    assert G._elements is None
+    assert G.element_set == oracle_helpers.bfs_closure(gens, n)
+
+
+def test_repr_shows_a_known_order():
+    # full_gl2 records its order without closing the group
+    assert repr(full_gl2.__wrapped__(6)) == \
+        "FiniteMatrixGroup(mod 6, 3 gens, order 288)"
+    g = FiniteMatrixGroup(8, [(1, 1, 0, 1)])
+    assert repr(g) == "FiniteMatrixGroup(mod 8, 1 gens, order ?)"
+
+
 # --- the prime factorizer, against sympy.factorint ---
 
 _PRIMES_NEAR_2_30 = st.integers(2 ** 29, 2 ** 30).map(sympy.nextprime)

@@ -31,7 +31,14 @@ from aimg.opengroup import (
     transpose_group,
 )
 
-from oracle_helpers import bfs_closure, gl2_elements, mat_mul, preimage
+from oracle_helpers import (
+    bfs_closure,
+    gl2_elements,
+    mat_inv,
+    mat_mul,
+    normal_closure,
+    preimage,
+)
 
 
 def RM(t, n):
@@ -230,10 +237,10 @@ def test_cap_error_carries_closure_state(monkeypatch):
 
 def test_commutator_ramp_counts_derived_subgroups_under_a_small_cap(
         monkeypatch):
-    # The members of (GL2, SL2(3)-preimage, M = 8) at level 24.  Two of
-    # them ramp through levels 48 and 72, where the derived subgroups have
-    # 36,864 and 124,416 elements; they are counted through the congruence
-    # layers, so no closure comes near the cap.
+    # The members of (GL2, SL2(3)-preimage, M = 8) at level 24.  Their
+    # derived subgroups are counted at the square of the least level, 144
+    # or 576, where they have up to 63,700,992 elements; they are counted
+    # through the congruence layers, so no closure comes near the cap.
     monkeypatch.setenv("AIMG_CAP_ORDER", "20000")
     h3 = OpenSubgroup(3, (RM((1, 1, 0, 1), 3), RM((0, 2, 1, 0), 3)))
     spec = FamilySpec(OpenSubgroup.full(), h3, 8)
@@ -242,6 +249,23 @@ def test_commutator_ramp_counts_derived_subgroups_under_a_small_cap(
         res = commutator_open(build_member(spec, phi).group)
         got.append((res.index_in_sl, res.saturation_level))
     assert got == [(6, 6), (2, 24), (2, 12), (2, 24)]
+
+
+def _commutator_fields(G):
+    res = commutator_open(G)
+    return (res.index_in_sl, res.saturation_level, res.commutator.level,
+            res.commutator.mod_level_group().order, res.det_full)
+
+
+@pytest.mark.parametrize("L", [24, 72, 144])
+def test_a3_preimage_presented_high_up_is_counted_under_a_small_cap(
+        monkeypatch, L):
+    # G(L) has |GL2(Z/L)| / 2 elements, above the cap: its order, its
+    # least level and its commutator are all counted, not closed
+    monkeypatch.setenv("AIMG_CAP_ORDER", "20000")
+    G = OpenSubgroup.from_group(A3_PREIMAGE.finite_image(L))
+    assert minimal_level(G).level == 2
+    assert _commutator_fields(G) == _commutator_fields(A3_PREIMAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +388,51 @@ def _sl2_kernel(c, d):
     return out
 
 
-# a level far above where the ramp stops, per group level
+# a level far above the square of the group level, per group level
 PROBE_LEVEL = {2: 288, 3: 216, 4: 288, 6: 144}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(G=open_subgroups((2, 3, 4, 6)))
 def test_ramp_index_holds_at_a_high_level(G):
-    # the ramp's stop rule is checked, not proved: the index it stops at
-    # must still be the index of D(L) in the SL2-part far above it
+    # the index counted at the square of the least level must still be the
+    # index of D(L) in the SL2-part far above it
     L = PROBE_LEVEL[G.level]
     assert commutator_open(G).index_in_sl == \
         sl_count(G, L) // derived_subgroup(G.finite_image(L)).order
+
+
+def _oracle_derived_subgroup(G, L):
+    """D(L) for G at level 2, by BFS: G(L) is generated by the lifts of
+    G's generators and I + 2E_ij, I + 4E_ij (checked against the
+    preimage), and D(L) is the normal closure of their commutators."""
+    gens = [g.entries for g in G.gens]
+    gens += [tuple((e + s * (i == j)) % L for j, e in enumerate((1, 0, 0, 1)))
+             for s in (2, 4) for i in range(4)]
+    assert bfs_closure(gens, L) == preimage(gens[:len(G.gens)], 2, L)
+    inv = [mat_inv(g, L) for g in gens]
+    comms = [mat_mul(mat_mul(x, y, L), mat_mul(xi, yi, L), L)
+             for x, xi in zip(gens, inv) for y, yi in zip(gens, inv)]
+    return normal_closure(gens, comms, L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(G=open_subgroups((2, 3, 4, 6, 8, 9, 12)))
+def test_derived_subgroup_is_the_sl2_preimage_above_the_square_level(G):
+    # the lemma in commutator_open: D(m^2 p) is the full SL2-preimage of
+    # D(m^2) for every prime p | m, so the count at m^2 is exact
+    m = G.level
+    M = m * m
+    D = derived_subgroup(G.finite_image(M))
+    for p in (p for p in (2, 3) if m % p == 0):
+        assert derived_subgroup(G.finite_image(M * p)).order == \
+            D.order * sl2_order(M * p) // sl2_order(M)
+    if m == 2:
+        for L in (4, 8):
+            want = _oracle_derived_subgroup(G, L)
+            got = derived_subgroup(G.finite_image(L))
+            assert got.order == len(want)
+            assert got.element_set == want
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
