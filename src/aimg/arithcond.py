@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     UnsupportedShape,
     ZeroInput,
+    is_json_int,
 )
 from .matgroup import _divisors, _prime_factors
 from .ratfunc import INFINITY, RationalMap, _pdivmod, _peval, _rational_roots, \
@@ -317,15 +318,14 @@ _LEAF_KINDS = {
 
 def _check_poly(x, where):
     if not (isinstance(x, list) and x
-            and all(isinstance(c, int) and not isinstance(c, bool)
-                    for c in x)):
+            and all(is_json_int(c) for c in x)):
         raise SchemaError(f"{where}: expected a nonempty integer "
                           f"coefficient list, got {x!r}")
     return [int(c) for c in x]
 
 
 def _parse_rational(x, where):
-    if isinstance(x, int) and not isinstance(x, bool):
+    if is_json_int(x):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -362,7 +362,7 @@ def parse_vcondition(data) -> VCondition:
             if key in ("poly", "p_poly", "q_poly"):
                 params[key] = tuple(_check_poly(val, where))
             elif key == "M":
-                if not isinstance(val, int) or val < 1:
+                if not is_json_int(val) or val < 1:
                     raise SchemaError(f"{where}: bad modulus {val!r}")
                 params[key] = val
             elif key == "values":

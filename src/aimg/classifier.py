@@ -27,6 +27,7 @@ from .errors import (
     NoMatch,
     SchemaError,
     UnknownLabel,
+    is_json_int,
 )
 from .families import (
     NOT_APPLICABLE,
@@ -50,7 +51,6 @@ from .opengroup import (
     intersect_sl2,
     minimal_level,
     sl_count,
-    transpose_group,
 )
 from .ratfunc import (
     INFINITY,
@@ -133,11 +133,11 @@ def _parse_entry(raw) -> CatalogEntry:
     orders = raw.get("automorphism_orders")
     if orders is not None:
         if not (isinstance(orders, list) and orders
-                and all(isinstance(o, int) and o >= 1 for o in orders)):
+                and all(is_json_int(o) and o >= 1 for o in orders)):
             raise SchemaError(f"{where}: bad automorphism_orders")
         orders = tuple(orders)
     fam_idx = raw.get("family_index")
-    if fam_idx is not None and fam_idx not in (1, 2, 3, 4, 5, 6):
+    if fam_idx is not None and not (is_json_int(fam_idx) and 0 < fam_idx < 7):
         raise SchemaError(f"{where}: family_index must be 1..6")
     alpha = raw.get("alpha")
     if alpha is not None:
@@ -156,12 +156,12 @@ def _parse_entry(raw) -> CatalogEntry:
                 raise SchemaError(f"{mwhere}: missing {key!r}")
         v = _parse_rational(m["v"], mwhere)
         Mv = m["Mv"]
-        if not isinstance(Mv, int) or Mv < 1:
+        if not is_json_int(Mv) or Mv < 1:
             raise SchemaError(f"{mwhere}: bad Mv {Mv!r}")
         phi = m["phi"]
         if not (isinstance(phi, list)
                 and all(isinstance(row, list)
-                        and all(isinstance(c, int) for c in row)
+                        and all(is_json_int(c) for c in row)
                         for row in phi)):
             raise SchemaError(f"{mwhere}: phi must be a list of integer "
                               f"vectors")
@@ -220,6 +220,9 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     the degree and genus filters the candidate's map is resolved through
     the catalog (an entry with the same group up to conjugacy) or the
     level-1 j-line, and matched against J by Moebius equivalence.
+
+    No candidate repeats: each K comes once, and a kept G' has
+    G' ∩ SL2 = K (K lies in it and the orders agree).
     """
     a = entry.a_order
     if a == 1:
@@ -240,28 +243,21 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
         if gd.degree != entry.J.degree:
             continue
         candidates.append(cand)
-    # deduplicate
-    uniq = []
-    for c in candidates:
-        if all(not (c.level == o.level
-                    and c.mod_level_group() == o.mod_level_group())
-               for o in uniq):
-            uniq.append(c)
-    if not uniq:
+    if not candidates:
         raise NoMatch(f"{entry.label}: no supergroup matches u")
-    if len(uniq) == 1:
-        return uniq[0]
+    if len(candidates) == 1:
+        return candidates[0]
     # disambiguate through resolvable cover maps
     matches = []
-    for c in uniq:
+    for c in candidates:
         pi_c = _resolve_cover_map(c, catalog)
         if pi_c is None:
             continue
         if moebius_equivalent(entry.J, pi_c) is not None:
             matches.append(c)
     if not matches:
-        raise NoMatch(f"{entry.label}: {len(uniq)} candidates, none with a "
-                      f"resolvable map equivalent to J")
+        raise NoMatch(f"{entry.label}: {len(candidates)} candidates, none "
+                      f"with a resolvable map equivalent to J")
     matches.sort(key=lambda c: (c.level, tuple(g.entries for g in c.gens)))
     return matches[0]
 
@@ -308,11 +304,10 @@ def _bucket(index: int) -> str:
 
 def _member_commutator_index(spec: FamilySpec, member, Mv: int):
     """Index of the member's commutator in its SL2-part, with the
-    prime-escape shortcut when available; works on the transposed group
-    (SL2-part sizes and commutators transport through transposition)."""
+    prime-escape shortcut when available."""
     res = commutator_shortcut(spec, member, Mv)
     if res is NOT_APPLICABLE:
-        direct = commutator_open(transpose_group(member.group))
+        direct = commutator_open(member.group)
         return direct.index_in_sl, "direct"
     # res carries the dissolved base's commutator; the member-relative
     # index is [member cap SL2 : commutator] counted at a common level
@@ -419,8 +414,8 @@ def classify(entries) -> ClassificationReport:
         try:
             g0 = recover_G0(entry, entries)
             rep.g0_level = g0.level
-            # the entry's own group, bucketed by its transposed commutator
-            own = commutator_open(transpose_group(entry.group))
+            # the entry's own group, bucketed by its commutator index
+            own = commutator_open(entry.group)
             rep.commutator_index = own.index_in_sl
             rep.bucket = _bucket(own.index_in_sl)
             specs = {}  # one FamilySpec per distinct Mv of the entry

@@ -20,7 +20,9 @@ from .classifier import (
     classify,
     load_catalog,
 )
-from .errors import AimgError, InvariantViolation, SchemaError, UnknownLabel
+from .errors import AimgError, InvariantViolation, SchemaError, \
+    UnknownLabel, is_json_int
+from .matgroup import _prime_factors
 from .modgenus import genus
 from .opengroup import (
     OpenSubgroup,
@@ -128,12 +130,15 @@ def _load_truncation(path) -> TruncatedAdelicGroup:
     m_part = m_sub.mod_level_group()
     parts = []
     for p in data.get("primes", []):
-        if not isinstance(p, int) or p < 2:
+        if not is_json_int(p) or _prime_factors(p) != {p: 1}:
             raise SchemaError(f"bad prime {p!r}")
         parts.append(full_gl2(p))
     for raw in data.get("prime_parts", []):
         parts.append(OpenSubgroup.from_json_dict(raw).mod_level_group())
-    return TruncatedAdelicGroup(m_part, tuple(parts))
+    try:
+        return TruncatedAdelicGroup(m_part, tuple(parts))
+    except ValueError as e:  # a part off a prime power, or a prime reused
+        raise SchemaError(str(e))
 
 
 def _cmd_surjectivity(args):

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer test
+the JSON schema checks share."""
+
+
+def is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer (true and false are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class AimgError(Exception):

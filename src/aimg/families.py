@@ -33,7 +33,6 @@ from .matgroup import (
     center,
     derived_subgroup,
     enumerate_homs,
-    gl2_order,
     quotient_group,
     unit_group,
     _schreier,
@@ -164,10 +163,9 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
     chi is evaluated on those generators only.  A BFS over their values
     walks im chi and keeps a word t_q of chi-value q for each q in it, so
     [G0 : H_phi] = |im chi|, and the kernel is generated by the Schreier
-    generators t_q g t_{q + chi(g)}^(-1).  G0(Lm) is the full preimage of
-    G0 at its level m0, so the kernel's order is recorded, not counted:
-
-        |G0(m0)| * |GL2(Z/Lm)| / |GL2(Z/m0)| / |im chi|.
+    generators t_q g t_{q + chi(g)}^(-1).  The kernel's order is recorded,
+    not counted: |G0(Lm)| / |im chi|, with G0(Lm).order the full-preimage
+    formula that finite_image records.
 
     The member's group is presented at Lm with that order and is not
     minimized.  The element set (``_eset``) and the dissolve flag are
@@ -181,14 +179,13 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
         raise NotAHomomorphism("phi target is not G0/H")
 
     Lm = spec.member_level
-    gens = spec.g0.finite_image(Lm).generator_tuples
+    big = spec.g0.finite_image(Lm)
+    gens = big.generator_tuples
     Q = spec.quotient
     value = {g: _chi(spec, phi, g) for g in gens}
     trans, schreier = _schreier(gens, Lm, Q.identity,
                                 lambda q, g: Q.add(q, value[g]))
-    kernel = FiniteMatrixGroup(Lm, schreier)
-    kernel._order = (spec.g0.mod_level_group().order * gl2_order(Lm)
-                     // gl2_order(spec.g0.level) // len(trans))
+    kernel = FiniteMatrixGroup(Lm, schreier, big.order // len(trans))
     return FamilyMember(
         family=spec, phi=phi,
         group=OpenSubgroup.from_group(kernel),

@@ -16,6 +16,10 @@ kernel of GL2(Z/dp) -> GL2(Z/d) is M2(F_p) for p | d, so the part in the
 kernel mod rad(n) is an F_p-linear induced sequence, and the group comes
 back with its order recorded and unmaterialized.  Membership and element
 sets still close the group.
+
+A group's state is set in this module only: a caller that knows an order
+from a formula passes it to the constructor, and _closed wraps a finished
+closure as a materialized group.
 """
 
 from __future__ import annotations
@@ -346,13 +350,13 @@ class FiniteMatrixGroup:
     """A subgroup of GL2(Z/NZ), given by generators, with lazily
     materialized element set.
 
-    ``order`` is counted through the congruence layers, as the normal
-    closure of the generators, unless a caller that knows it from a
-    formula recorded it in ``_order``.  A later materialization asserts
-    that the closure has that many elements.
+    ``order`` is the group's order when a caller knows it from a formula;
+    left out, it is counted through the congruence layers, as the normal
+    closure of the generators, when first read.  A later materialization
+    asserts that the closure has that many elements.
     """
 
-    def __init__(self, modulus: int, generators):
+    def __init__(self, modulus: int, generators, order=None):
         self.modulus = modulus
         gens = []
         for g in generators:
@@ -364,25 +368,17 @@ class FiniteMatrixGroup:
         self.generator_tuples = tuple(gens)
         self._elements = None
         self._eset = None
-        self._order = None
+        self._order = order
 
     @classmethod
     def from_elements(cls, elements, modulus: int):
         """Build a group from a full element set, with a small greedy
         generating set (deterministic: sorted element order)."""
         elems = sorted({tuple(v % modulus for v in e) for e in elements})
-        clo = _Closure(modulus)
-        gens = []
-        for e in elems:
-            if e not in clo.seen:
-                clo.add_gen(e)
-                gens.append(e)
-        g = cls(modulus, gens)
+        clo = _Closure(modulus, elems)
         if len(clo.seen) != len(elems):
             raise NotASubgroup("element set is not closed under the group law")
-        g._elements = tuple(clo.elems)
-        g._eset = frozenset(clo.seen)
-        return g
+        return _closed(clo)
 
     @property
     def generators(self):
@@ -415,7 +411,7 @@ class FiniteMatrixGroup:
                 self._order = len(self._elements)
             else:
                 sub = normal_closure(self, self.generator_tuples)
-                self._order = sub._order
+                self._order = sub.order
                 if sub._elements is not None:
                     self._elements, self._eset = sub._elements, sub._eset
         return self._order
@@ -451,6 +447,15 @@ class FiniteMatrixGroup:
             size = "?" if self._elements is None else len(self._elements)
         return (f"FiniteMatrixGroup(mod {self.modulus}, "
                 f"{len(self.generator_tuples)} gens, order {size})")
+
+
+def _closed(clo: _Closure) -> FiniteMatrixGroup:
+    """The group closed by the finished closure ``clo``: generated by
+    ``clo.gens``, with its elements set and its order len(clo.elems)."""
+    g = FiniteMatrixGroup(clo.n, clo.gens, len(clo.elems))
+    g._elements = tuple(clo.elems)
+    g._eset = frozenset(clo.seen)
+    return g
 
 
 def closure(generators) -> FiniteMatrixGroup:
@@ -569,9 +574,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
         if t != TID and t not in gens:
             gens.append(t)
     if not gens:
-        sub = FiniteMatrixGroup(n, [ResidueMatrix.identity(n)])
-        sub._order = 1
-        return sub
+        return FiniteMatrixGroup(n, [ResidueMatrix.identity(n)], 1)
     r = math.prod(_prime_factors(n))
     clo = _Closure(r)
     lifts = [x for x in gens if clo.add_gen(x)]
@@ -586,11 +589,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
                     lifts.append(c)
                     changed = True
     if r == n:
-        sub = FiniteMatrixGroup(n, lifts)
-        sub._elements = tuple(clo.elems)
-        sub._eset = frozenset(clo.seen)
-        sub._order = len(clo.elems)
-        return sub
+        return _closed(clo)
 
     def low(x):
         return tuple(v % r for v in x)
@@ -603,9 +602,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     seq, layer_order = _layer_sequence(
         n, r, conj, schreier + [tmul(inverse[low(x)], x, n)
                                 for x in gens + conjugates])
-    sub = FiniteMatrixGroup(n, lifts + seq)
-    sub._order = len(trans) * layer_order
-    return sub
+    return FiniteMatrixGroup(n, lifts + seq, len(trans) * layer_order)
 
 
 def derived_subgroup(G: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -1036,8 +1033,8 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
     """Subgroups S with H <= S <= G and [S : H] = index_over_h.
 
     Exhaustive: extends H by elements of G and keeps the closures of the
-    right order.  Returns FiniteMatrixGroup values (deduplicated by
-    element set, not by conjugacy).
+    right order.  Returns the closed FiniteMatrixGroup values, sorted and
+    deduplicated by element set, not by conjugacy.
     """
     if not H <= G:
         raise NotASubgroup("H is not a subgroup of G")
@@ -1054,19 +1051,15 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
         new_frontier = {}
         for span, gens in frontier.items():
             for x in sorted(G.element_set - span):
-                bigger = _Closure(n, gens + [x]).seen
+                clo = _Closure(n, gens + [x])
+                bigger = clo.seen
                 if len(bigger) > target or target % len(bigger) != 0:
                     continue
                 key = frozenset(bigger)
                 if len(bigger) == target:
-                    found.setdefault(key, gens + [x])
+                    found.setdefault(key, clo)
                 elif key not in new_frontier and key not in frontier:
                     new_frontier[key] = gens + [x]
         frontier = new_frontier
-    out = []
-    for key, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
-        g = FiniteMatrixGroup(n, [ResidueMatrix.from_tuple(t, n) for t in gens])
-        g._elements = tuple(sorted(key))
-        g._eset = key
-        out.append(g)
-    return out
+    return [_closed(clo)
+            for _, clo in sorted(found.items(), key=lambda kv: sorted(kv[0]))]

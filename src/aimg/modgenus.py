@@ -113,21 +113,20 @@ def genus(G: OpenSubgroup) -> GenusData:
     """Genus of the curve, with the (d, e2, e3, eInf) breakdown.
 
     g = 1 + d/12 - e2/4 - e3/3 - eInf/2 where e2, e3 count the cosets of
-    the SL2-part of ±G fixed by S and ST and eInf counts T-orbits (cusps);
-    see the module docstring for how each is counted.
+    the SL2-part H of ±G fixed by S and ST and eInf counts T-orbits (cusps);
+    see the module docstring for how each is counted.  H is
+    intersect_sl2(G.with_minus_i()), from the same ±G as in coset_action
+    and recover_G0.
     """
     n = G.level
     if n == 1:
         return GenusData(0, 1, 1, 1, 1)
-    H = intersect_sl2(G)
-    minus_i = (n - 1, 0, 0, n - 1)
+    H = intersect_sl2(G.with_minus_i())
     hset = H.element_set
-    if minus_i not in hset:
-        hset = hset | {tmul(minus_i, h, n) for h in hset}
     d = sl2_order(n) // len(hset)
     e2 = _fixed_points((0, n - 1, 1, 0), hset, d, n)  # S
     e3 = _fixed_points((0, n - 1, 1, 1), hset, d, n)  # ST
-    e_inf = _cusp_count(H.generator_tuples + (minus_i,), n)
+    e_inf = _cusp_count(H.generator_tuples, n)
     num = 12 + d - 3 * e2 - 4 * e3 - 6 * e_inf
     if num % 12 != 0 or num < 0:
         raise NonIntegralGenus(

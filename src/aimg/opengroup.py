@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import SchemaError
+from .errors import SchemaError, is_json_int
 from .matgroup import (
     FiniteMatrixGroup,
     derived_subgroup,
     gl2_order,
     sl2_order,
     _Closure,
+    _closed,
     _orbit,
     _prime_factors,
     _schreier,
@@ -95,19 +96,16 @@ def full_gl2(n: int) -> FiniteMatrixGroup:
     units = _unit_gens(n)
     assert len(_orbit(1 % n, [lambda x, u=u: x * u % n for u in units])) \
         == gl2_order(n) // sl2_order(n)
-    g = FiniteMatrixGroup(n, gl2_generator_matrices(n))
-    g._order = gl2_order(n)
-    return g
+    return FiniteMatrixGroup(n, gl2_generator_matrices(n), gl2_order(n))
 
 
 @lru_cache(maxsize=None)
 def full_sl2(n: int) -> FiniteMatrixGroup:
-    if n == 1:
-        return FiniteMatrixGroup(1, [ResidueMatrix.identity(1)])
-    g = FiniteMatrixGroup(
-        n, [ResidueMatrix(n, 1, 1, 0, 1), ResidueMatrix(n, 0, -1, 1, 0)])
-    assert g.order == sl2_order(n)
-    return g
+    """SL2(Z/nZ), generated by T and S (SL2(Z) -> SL2(Z/nZ) is onto), with
+    its order recorded, not closed."""
+    return FiniteMatrixGroup(
+        n, [ResidueMatrix(n, 1, 1, 0, 1), ResidueMatrix(n, 0, -1, 1, 0)],
+        sl2_order(n))
 
 
 def _crt_with_identity(mat: ResidueMatrix, other_modulus: int) -> ResidueMatrix:
@@ -172,6 +170,10 @@ class OpenSubgroup:
         5 mod 8.  When 8 divides L the second layer I + 2m*E_ij is
         therefore added too; from 2-exponent 2 on, each layer is the
         square of the one before.
+
+        The image is returned with its order recorded as
+        |G(m)| * |GL2(Z/L)| / |GL2(Z/m)|, the full preimage's, and
+        materializing it checks that record.
         """
         m = self.level
         if L % m != 0:
@@ -200,7 +202,9 @@ class OpenSubgroup:
         if B > 1:
             for g in gl2_generator_matrices(B):
                 gens.append(crt_combine(ResidueMatrix.identity(A), g))
-        return FiniteMatrixGroup(L, gens)
+        return FiniteMatrixGroup(
+            L, gens,
+            self.mod_level_group().order * gl2_order(L) // gl2_order(m))
 
     def index_in_gl2(self) -> int:
         return gl2_order(self.level) // self.mod_level_group().order
@@ -209,7 +213,10 @@ class OpenSubgroup:
         return ResidueMatrix(self.level, -1, 0, 0, -1) in self.mod_level_group()
 
     def with_minus_i(self) -> "OpenSubgroup":
-        if self.contains_minus_i():
+        """±G: G with -I appended to its generators above level 1, where
+        the generator is redundant when G holds -I already; G is not
+        closed to find out."""
+        if self.level == 1:
             return self
         return OpenSubgroup(
             self.level,
@@ -227,12 +234,12 @@ class OpenSubgroup:
         if not isinstance(data, dict) or "level" not in data:
             raise SchemaError("open subgroup JSON needs a 'level' key")
         level = data["level"]
-        if not isinstance(level, int) or level < 1:
+        if not is_json_int(level) or level < 1:
             raise SchemaError(f"bad level: {level!r}")
         gens = []
         for row in data.get("gens", []):
             if not (isinstance(row, list) and len(row) == 4
-                    and all(isinstance(x, int) for x in row)):
+                    and all(is_json_int(x) for x in row)):
                 raise SchemaError(f"bad generator row: {row!r}")
             g = ResidueMatrix(level, *row)
             if not g.is_invertible():
@@ -254,12 +261,7 @@ def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
     """Mod-level image of G ∩ SL2(Zhat), the kernel of det on G(m),
     closed from the Schreier generators over the determinant transversal,
     so G(m) itself is never enumerated."""
-    n = G.level
-    clo = _Closure(n, _det_schreier(G)[1])
-    sub = FiniteMatrixGroup(n, clo.gens)
-    sub._elements = tuple(clo.elems)
-    sub._eset = frozenset(clo.seen)
-    return sub
+    return _closed(_Closure(G.level, _det_schreier(G)[1]))
 
 
 @dataclass(frozen=True)
@@ -306,9 +308,9 @@ def transpose_group(G: OpenSubgroup) -> OpenSubgroup:
     |G^t| = |G|."""
     if G.level == 1:
         return G
-    grp = FiniteMatrixGroup(G.level, [g.transpose() for g in G.gens])
-    grp._order = G.mod_level_group()._order
-    return OpenSubgroup.from_group(grp)
+    return OpenSubgroup.from_group(FiniteMatrixGroup(
+        G.level, [g.transpose() for g in G.gens],
+        G.mod_level_group()._order))
 
 
 def _least_level(grp: FiniteMatrixGroup, ambient_order) -> FiniteMatrixGroup:

@@ -18,7 +18,6 @@ from .matgroup import (
     _Closure,
     _orbit,
     _prime_factors,
-    closure,
     derived_subgroup,
     group_size_cap,
     normal_closure,
@@ -185,10 +184,11 @@ class SurjectivityVerdict:
 def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     """Decide H = G at the truncation from generators of H.
 
-    H generators are matrices at the combined modulus.  The check mirrors
-    the criterion: every factor projection must be onto, and H must cover
-    the abelianization G/[G,G] (computed factorwise, since the derived
-    subgroup of a product is the product of the derived subgroups).
+    H generators are matrices at the combined modulus; an empty list is
+    the trivial group.  The check mirrors the criterion: every factor
+    projection must be onto, and H must cover the abelianization G/[G,G]
+    (computed factorwise, since the derived subgroup of a product is the
+    product of the derived subgroups).
     """
     N = G.modulus
     for h in h_gens:
@@ -204,7 +204,7 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
             if g.entries not in fac.element_set:
                 raise NotASubgroup(
                     f"generator {g} lies outside the {name}-factor")
-        if closure(proj).order != fac.order:
+        if FiniteMatrixGroup(m, proj).order != fac.order:
             return SurjectivityVerdict("FailsProjection", name)
 
     # abelian quotient, factor by factor

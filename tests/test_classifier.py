@@ -69,6 +69,29 @@ def test_zero_denominator_in_catalog_is_a_schema_error():
         load_catalog(raw)
 
 
+# JSON true and false load as bools, which Python counts as ints; each of
+# these edits to the 2A-2A entry puts one where an integer belongs
+BOOLEAN_EDITS = {
+    "group level": lambda e: e.update(group={"level": True, "gens": []}),
+    "generator entry": lambda e: e["group"].update(
+        gens=[[True, True, True, False]]),
+    "Mv": lambda e: e["members"][0].update(Mv=True),
+    "phi": lambda e: e["members"][0].update(phi=[[True]]),
+    "family_index": lambda e: e.update(family_index=True),
+    "automorphism_orders": lambda e: e.update(automorphism_orders=[True]),
+    "condition modulus": lambda e: e.update(conditions={"all": [
+        {"kind": "quad_cyc_trivial", "poly": [1, 0], "M": True}]}),
+}
+
+
+@pytest.mark.parametrize("field", list(BOOLEAN_EDITS))
+def test_json_booleans_are_not_integers(field):
+    raw = sample_raw()
+    BOOLEAN_EDITS[field](raw["entries"][1])
+    with pytest.raises(SchemaError):
+        load_catalog(raw)
+
+
 def test_duplicate_label_is_violation():
     raw = sample_raw()
     raw["entries"].append(raw["entries"][0])

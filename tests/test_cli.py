@@ -125,6 +125,34 @@ def test_surjectivity(capsys, tmp_path):
     assert data["verdict"] == "FailsProjection" and data["factor"] == "5"
 
 
+BOREL4_JSON = {"level": 4, "gens": [[1, 1, 0, 1], [3, 0, 0, 1], [1, 0, 0, 3]]}
+
+
+@pytest.mark.parametrize("factors", [
+    {"primes": [6]}, {"primes": [2]}, {"primes": [5, 5]},
+    {"prime_parts": [{"level": 2, "gens": [[1, 1, 0, 1]]}]},
+], ids=["not-prime", "prime-of-m-part", "repeated", "part-at-m-part-prime"])
+def test_surjectivity_bad_factors_are_schema_errors(capsys, tmp_path,
+                                                    factors):
+    trunc = write_json(tmp_path, "trunc.json",
+                       {"m_part": BOREL4_JSON, **factors})
+    sub = write_json(tmp_path, "sub.json", {"level": 4, "gens": []})
+    code, _, err = run(capsys, "surjectivity", "--group", trunc,
+                       "--subgroup", sub)
+    assert code == 1
+    assert "error: SchemaError" in err and "Traceback" not in err
+
+
+def test_surjectivity_empty_subgroup_fails_projection(capsys, tmp_path):
+    trunc = write_json(tmp_path, "trunc.json",
+                       {"m_part": BOREL4_JSON, "primes": [5]})
+    sub = write_json(tmp_path, "sub.json", {"level": 20, "gens": []})
+    code, out, _ = run(capsys, "surjectivity", "--group", trunc,
+                       "--subgroup", sub)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "FailsProjection", "factor": "M"}
+
+
 def test_surjectivity_modulus_mismatch(capsys, tmp_path):
     trunc = write_json(tmp_path, "trunc.json", {
         "m_part": {"level": 4,

@@ -1,6 +1,6 @@
 """Every module-level import in the package is used (a stdlib-ast check,
-since no linter is a test dependency), and sympy, a test-only oracle, is
-never imported by the package."""
+since no linter is a test dependency), sympy, a test-only oracle, is
+never imported by the package, and only matgroup sets a group's state."""
 
 import ast
 import os
@@ -119,6 +119,33 @@ def test_package_never_imports_sympy():
             found += [f"{path.name}:{node.lineno}" for m in mods
                       if m.split(".")[0] == "sympy"]
     assert not found, f"sympy imported at {found}"
+
+
+GROUP_STATE = {"_order", "_elements", "_eset"}
+
+
+def test_only_matgroup_sets_group_state():
+    """No module but matgroup.py stores a FiniteMatrixGroup's _order,
+    _elements or _eset, as an attribute target or through setattr: a
+    caller that knows an order passes it to the constructor."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "matgroup.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            stored = (isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and node.attr in GROUP_STATE)
+            set_by_name = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                in ("setattr", "__setattr__")
+                and any(isinstance(a, ast.Constant) and a.value in GROUP_STATE
+                        for a in node.args))
+            if stored or set_by_name:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"group state set outside matgroup at {found}"
 
 
 def test_classify_run_leaves_sympy_unloaded(tmp_path):

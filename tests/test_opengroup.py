@@ -23,6 +23,7 @@ from aimg.opengroup import (
     commutator_open,
     det_image,
     full_gl2,
+    full_sl2,
     gl2_order,
     intersect_sl2,
     minimal_level,
@@ -56,12 +57,13 @@ def test_full_group_images():
     assert G.contains_minus_i()
 
 
-def test_full_gl2_closes_to_its_recorded_order():
-    # full_gl2 records |GL2(Z/n)| instead of closing the group; closing an
-    # uncached copy checks that record (materializing asserts it too)
+def test_full_gl2_and_sl2_close_to_their_recorded_orders():
+    # full_gl2 and full_sl2 record |GL2(Z/n)| and |SL2(Z/n)| instead of
+    # closing the group; closing uncached copies checks those records
+    # (materializing asserts them too)
     for n in range(1, 31):
-        g = full_gl2.__wrapped__(n)
-        assert len(g.elements) == gl2_order(n)
+        assert len(full_gl2.__wrapped__(n).elements) == gl2_order(n)
+        assert len(full_sl2.__wrapped__(n).elements) == sl2_order(n)
 
 
 def test_unit_gens_span_the_units():
@@ -300,6 +302,20 @@ def test_intersect_sl2_matches_brute_force(G):
         t for t in elems if (t[0] * t[3] - t[1] * t[2]) % m == 1 % m}
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(2, 13)), data=st.data())
+def test_finite_image_records_the_full_preimage_order(G, data):
+    # the order finite_image records, read before anything closes the
+    # image, is the size of the brute-force preimage
+    L = data.draw(st.sampled_from(range(G.level, 49, G.level)))
+    img = G.finite_image(L)
+    assert img._elements is None
+    assert L == G.level or img._order is not None
+    assert img.order == len(_oracle_preimage(G, L))
+    if L > 24:
+        gl2_elements.cache_clear()  # GL2(Z/48) alone is 1.2M tuples
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(G=open_subgroups(range(1, 13)))
 def test_det_image_matches_brute_force(G):
@@ -336,6 +352,15 @@ def test_genus_is_conjugation_invariant(G, data):
 @given(G=open_subgroups(range(1, 13)))
 def test_genus_is_transpose_invariant(G):
     assert genus(transpose_group(G)) == genus(G)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(G=open_subgroups(range(1, 13)))
+def test_commutator_index_is_transpose_invariant(G):
+    # G^t is the image of G under g -> (g^-1)^t, an automorphism of
+    # GL2(Zhat) that maps SL2(Zhat) onto itself
+    assert commutator_open(transpose_group(G)).index_in_sl == \
+        commutator_open(G).index_in_sl
 
 
 def _divisors(n):

@@ -129,6 +129,12 @@ def test_fails_projection_factor_named():
     assert v.kind == "FailsProjection" and v.factor == "M"
 
 
+def test_no_generators_is_the_trivial_group():
+    G = TruncatedAdelicGroup.with_full_primes(BOREL4, (5,))
+    assert surjectivity_check(G, []) == \
+        SurjectivityVerdict("FailsProjection", "M")
+
+
 def legendre(a):
     return pow(a % 5, 2, 5) == 1 or a % 5 == 0
 
