@@ -222,7 +222,10 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     level-1 j-line, and matched against J by Moebius equivalence.
 
     No candidate repeats: each K comes once, and a kept G' has
-    G' ∩ SL2 = K (K lies in it and the orders agree).
+    G' ∩ SL2 = K (K lies in it, and sl_count, which counts G' ∩ SL2
+    without closing it, gives |K|).  Of several matches the one of least
+    level, then of least sorted element set at that level, is returned,
+    so the answer does not depend on how the entry's group is presented.
     """
     a = entry.a_order
     if a == 1:
@@ -234,7 +237,7 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     for K in intermediate_subgroups(Gsl, full_sl2(N), a):
         gens = list(Gimg.generators) + list(K.generators)
         Gp = closure(gens)
-        if intersect_sl2(OpenSubgroup.from_group(Gp)).order != K.order:
+        if sl_count(OpenSubgroup.from_group(Gp), N) != K.order:
             continue
         cand = minimal_level(OpenSubgroup.from_group(Gp))
         gd = genus(cand)
@@ -258,7 +261,8 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     if not matches:
         raise NoMatch(f"{entry.label}: {len(candidates)} candidates, none "
                       f"with a resolvable map equivalent to J")
-    matches.sort(key=lambda c: (c.level, tuple(g.entries for g in c.gens)))
+    matches.sort(key=lambda c: (c.level,
+                                sorted(c.mod_level_group().element_set)))
     return matches[0]
 
 

@@ -7,8 +7,9 @@ homomorphisms between finite abelian groups.
 Closure is breadth-first over canonical entry tuples with deterministic
 iteration order (generator order, then discovery order), so coset
 representatives and reports are reproducible.  A configurable cap (env var
-``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size; hitting
-it raises ResourceExceeded rather than truncating silently.
+``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size and
+orbit size; hitting it raises ResourceExceeded rather than truncating
+silently.
 
 Orders, normal closures and derived subgroups are closed by BFS only mod
 rad(n).  Above it they are counted through the congruence layers: the
@@ -287,10 +288,15 @@ class _Closure:
 
 def _orbit(x, moves) -> set:
     """The orbit of x under the group generated by the bijections
-    ``moves`` of a finite set."""
+    ``moves`` of a finite set; ResourceExceeded once it passes the cap."""
+    cap = group_size_cap()
     seen = {x}
     stack = [x]
     while stack:
+        if len(seen) > cap:
+            raise ResourceExceeded(
+                f"orbit exceeded cap {cap} ({len(seen)} points reached)",
+                partial=len(seen))
         y = stack.pop()
         for move in moves:
             z = move(y)
@@ -354,17 +360,21 @@ class FiniteMatrixGroup:
     left out, it is counted through the congruence layers, as the normal
     closure of the generators, when first read.  A later materialization
     asserts that the closure has that many elements.
+
+    The generators are reduced mod N; those that become the identity or
+    repeat an earlier one are dropped, the rest keep their order.
     """
 
     def __init__(self, modulus: int, generators, order=None):
         self.modulus = modulus
-        gens = []
+        gens = {}
         for g in generators:
             t = g.entries if isinstance(g, ResidueMatrix) else tuple(g)
             t = tuple(v % modulus for v in t)
             if math.gcd(tdet(t, modulus), modulus) != 1:
                 raise NotInvertible(f"generator {t} not invertible mod {modulus}")
-            gens.append(t)
+            gens[t] = None
+        gens.pop(tuple(v % modulus for v in TID), None)
         self.generator_tuples = tuple(gens)
         self._elements = None
         self._eset = None
@@ -574,7 +584,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
         if t != TID and t not in gens:
             gens.append(t)
     if not gens:
-        return FiniteMatrixGroup(n, [ResidueMatrix.identity(n)], 1)
+        return FiniteMatrixGroup(n, (), 1)
     r = math.prod(_prime_factors(n))
     clo = _Closure(r)
     lifts = [x for x in gens if clo.add_gen(x)]

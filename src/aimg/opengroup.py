@@ -142,9 +142,6 @@ class OpenSubgroup:
     def _mod_group(self) -> FiniteMatrixGroup:
         if self.level == 1:
             return full_gl2(1)
-        if not self.gens:
-            return FiniteMatrixGroup(
-                self.level, [ResidueMatrix.identity(self.level)])
         return FiniteMatrixGroup(self.level, self.gens)
 
     def mod_level_group(self) -> FiniteMatrixGroup:
@@ -415,12 +412,8 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     T = math.lcm(m, 6, lvl)
     if lvl == 1:
         return CommutatorResult(OpenSubgroup.full(), index, T, full_det)
-    gens = []
-    for img in imgs:
-        for t in img.generator_tuples:
-            g = _crt_with_identity(ResidueMatrix.from_tuple(t, img.modulus),
-                                   lvl // img.modulus)
-            if g.entries != (1, 0, 0, 1) and g not in gens:
-                gens.append(g)
+    gens = [_crt_with_identity(ResidueMatrix.from_tuple(t, img.modulus),
+                               lvl // img.modulus)
+            for img in imgs for t in img.generator_tuples]
     comm = OpenSubgroup(lvl, tuple(gens) or (ResidueMatrix.identity(lvl),))
     return CommutatorResult(comm, index, T, full_det)

@@ -1,6 +1,11 @@
 """Simple-quotient analysis and the finite-truncation surjectivity
 criterion.
 
+Quo(G), the nonabelian simple quotients that decide whether two factors
+can be glued (Goursat), is read off the images of G mod each prime of its
+modulus by Dickson's classification, without enumerating normal
+subgroups.
+
 A closed subgroup H of G = G_M x prod GL2(Z_l) equals G exactly when the
 projections of H onto every factor are onto and H still surjects onto
 G/[G,G]; here both conditions are checked at a finite truncation.
@@ -12,18 +17,14 @@ from dataclasses import dataclass
 
 import math
 
-from .errors import NotASubgroup, ResourceExceeded
+from .errors import NotASubgroup
 from .matgroup import (
     FiniteMatrixGroup,
-    _Closure,
     _orbit,
     _prime_factors,
     derived_subgroup,
-    group_size_cap,
-    normal_closure,
     quotient_group,
 )
-from .modmatrix import tinv, tmul
 from .opengroup import full_gl2
 
 __all__ = [
@@ -35,85 +36,42 @@ __all__ = [
 ]
 
 
-def _conjugacy_class_reps(G: FiniteMatrixGroup):
-    """The first element of each conjugacy class, in G.elements order."""
-    n = G.modulus
-    moves = [lambda x, g=g, gi=tinv(g, n): tmul(tmul(g, x, n), gi, n)
-             for g in G.generator_tuples]
-    seen = set()
-    reps = []
-    for x in G.elements:
-        if x not in seen:
-            reps.append(x)
-            seen |= _orbit(x, moves)
-    return reps
-
-
-def _normal_subgroups(G: FiniteMatrixGroup):
-    """All normal subgroups as element frozensets, by join-closing the
-    normal closures of single conjugacy classes."""
-    n = G.modulus
-    atoms = {normal_closure(G, [r]).element_set
-             for r in _conjugacy_class_reps(G)}
-    ident = (1 % n, 0, 0, 1 % n)
-    found = set(atoms) | {frozenset({ident})}
-    frontier = list(found)
-    while frontier:
-        a = frontier.pop()
-        for b in list(found):
-            if a <= b or b <= a:
-                continue
-            j = frozenset(_Closure(n, sorted(a | b)).seen)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return found
-
-
 def quo_simple_quotients(G: FiniteMatrixGroup) -> set:
-    """Quo(G): isomorphism tags of the nonabelian simple quotients.
+    """Quo(G): isomorphism tags ("PSL2", p) of the nonabelian simple
+    quotients of P, the perfect core of G (the stable term of its derived
+    series).  Every nonabelian simple quotient G/N of G is one of them, as
+    P/(P ∩ N): P maps onto the perfect core of G/N, which is G/N.
 
-    Every nonabelian simple quotient of G factors through the perfect core
-    P = stable term of the derived series (if G/N is simple nonabelian,
-    P*N = G and P/(P ∩ N) is the same quotient), so the search runs on P:
-    its maximal proper normal subgroups give exactly the simple quotients,
-    all nonabelian since P is perfect.  Tags are ("PSL2", l) when the
-    order matches |PSL2(F_l)| for a prime l >= 5, otherwise
-    ("simple", order).
+    Quo(G) is read off the images G_p of G mod the primes p | n, n the
+    modulus, by Dickson's classification (Serre 1972, §2):
+
+    (1) P -> P mod rad(n) has a nilpotent kernel (it lies in the kernel
+    K(rad n) of GL2(Z/n), a product of p-groups), and a nonabelian simple
+    group has no nontrivial nilpotent normal subgroup, so every such
+    quotient of P factors through P mod rad(n).  That group is the
+    perfect core of G mod rad(n), a subdirect product of the perfect
+    cores P_p of the G_p.
+    (2) A nonabelian simple quotient Q/N of a subdirect product
+    Q <= A x B is a quotient of A or of B: Q ∩ (A x 1) and Q ∩ (1 x B)
+    are normal in Q and commute, so if neither lay in N both would map
+    onto Q/N, which would then be abelian.  By induction on the number
+    of primes, Quo(G) is the union of the Quo(P_p).
+    (3) P_p is perfect, so it lies in SL2(F_p), and by Dickson it is the
+    trivial group, SL2(F_p) with p >= 5 (order p(p^2 - 1), one such
+    quotient PSL2(F_p)), or 2.A5 (order 120, one such quotient
+    A5 ≅ PSL2(F_5)).
+
+    So each P_p is tagged by its order.  Its derived series starts at
+    [G_p, G_p], so G_p itself is never closed.
     """
-    if G.order > group_size_cap():
-        raise ResourceExceeded(f"group order {G.order} exceeds cap")
-    P = G
-    while True:
-        D = derived_subgroup(P)
-        if D.order == P.order:
-            break
-        P = D
-    if P.order == 1:
-        return set()
-    normals = _normal_subgroups(P)
-    proper = [N for N in normals if len(N) < P.order]
     out = set()
-    for N in proper:
-        if any(N < N2 for N2 in proper if N2 is not N):
-            continue
-        q_order = P.order // len(N)
-        tag = ("simple", q_order)
-        for ell in _psl2_orders(q_order):
-            tag = ("PSL2", ell)
-        out.add(tag)
-    return out
-
-
-def _psl2_orders(order):
-    out = []
-    # |PSL2(F_l)| = l(l^2-1)/2 for l >= 5
-    ell = 5
-    while ell * (ell * ell - 1) // 2 <= order:
-        if (ell * (ell * ell - 1) // 2 == order
-                and _prime_factors(ell) == {ell: 1}):
-            out.append(ell)
-        ell += 2
+    for p in _prime_factors(G.modulus):
+        P = derived_subgroup(FiniteMatrixGroup(p, G.generator_tuples))
+        while (D := derived_subgroup(P)).order < P.order:
+            P = D
+        if P.order > 1:
+            assert P.order in (120, p * (p * p - 1)), (p, P.order)
+            out.add(("PSL2", 5 if P.order == 120 else p))
     return out
 
 

@@ -136,6 +136,23 @@ def test_recover_g0_2a2a():
     assert g0.level == 1
 
 
+def test_recover_g0_does_not_depend_on_the_presentation():
+    cat = sample_catalog()
+    entry = cat[1]
+    G = entry.group
+    ident = ResidueMatrix.identity(G.level)
+    lifted = OpenSubgroup.from_group(G.finite_image(4))
+    ident4 = ResidueMatrix.identity(4)
+    base = recover_G0(entry, cat)
+    for group in (OpenSubgroup(G.level, (ident,) + G.gens + (ident,)),
+                  OpenSubgroup(4, (ident4,) + lifted.gens[::-1]
+                               + lifted.gens[:1])):
+        g0 = recover_G0(dataclasses.replace(entry, group=group), cat)
+        assert g0.level == base.level
+        assert g0.mod_level_group().element_set == \
+            base.mod_level_group().element_set
+
+
 def test_level_bound_b():
     cat = sample_catalog()
     # 1A-1A: N = 1, orders (1): b0 = 1, N != 2 mod 4

@@ -74,6 +74,14 @@ def test_closure_matches_bfs_oracle():
             assert G.element_set == closure_oracle(gens, n)
 
 
+def test_generators_drop_identities_and_repeats():
+    # mod 4, (5, 4, 0, 1) is I and (1, 5, 0, 1) repeats T
+    g = FiniteMatrixGroup(4, [(5, 4, 0, 1), (1, 1, 0, 1), (1, 5, 0, 1),
+                              (3, 0, 0, 1), (1, 1, 0, 1)])
+    assert g.generator_tuples == ((1, 1, 0, 1), (3, 0, 0, 1))
+    assert FiniteMatrixGroup(1, [(1, 1, 0, 1)]).generator_tuples == ()
+
+
 def test_full_group_orders_match_formula():
     # |GL2(Z/n)| = n^4 prod (1-1/p)(1-1/p^2); independent recount
     for n in (2, 3, 4, 5, 6, 7, 8, 9):

@@ -128,6 +128,12 @@ def test_minimal_level():
     assert m.mod_level_group().order == 3
 
 
+def test_least_level_presentation_drops_identities_and_repeats():
+    # the kernel generators I + 2E_ij of the level-4 image are I mod 2
+    lifted = OpenSubgroup.from_group(A3_PREIMAGE.finite_image(4))
+    assert minimal_level(lifted).gens == A3_PREIMAGE.gens
+
+
 def test_det_image_and_sl2_part():
     assert det_image(OpenSubgroup.full()).full
     assert det_image(A3_PREIMAGE).full  # (Z/2)^x is trivial
@@ -396,6 +402,11 @@ def test_minimal_level_is_the_least_preimage_level(G):
                  * len(gl2_elements(m)) // len(gl2_elements(d)) == size)
     Gm = minimal_level(G)
     assert Gm.level == least
+    if least < m:
+        # a presentation built at the least level has no I and no repeats
+        entries = [g.entries for g in Gm.gens]
+        assert len(set(entries)) == len(entries)
+        assert (1 % least, 0, 0, 1 % least) not in entries
     assert preimage([g.entries for g in Gm.gens], least, m) == \
         bfs_closure([g.entries for g in G.gens], m)
 

@@ -1,8 +1,10 @@
 """Simple-quotient tags and the truncated surjectivity criterion."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aimg.errors import NotASubgroup
 from aimg.matgroup import FiniteMatrixGroup, closure
@@ -11,7 +13,6 @@ from aimg.opengroup import full_gl2, full_sl2
 from aimg.surjectivity import (
     SurjectivityVerdict,
     TruncatedAdelicGroup,
-    _normal_subgroups,
     quo_disjointness,
     quo_simple_quotients,
     surjectivity_check,
@@ -20,6 +21,9 @@ from aimg.surjectivity import (
 from oracle_helpers import (
     bfs_closure,
     gl2_elements,
+    mat_inv,
+    mat_mul,
+    normal_closure,
     normal_subgroups,
     sl2_elements,
 )
@@ -41,18 +45,83 @@ def test_quo_of_gl2_small_primes():
     assert quo_simple_quotients(full_gl2(2)) == set()
     assert quo_simple_quotients(full_gl2(3)) == set()
     assert quo_simple_quotients(BOREL4) == set()
+    # one quotient per prime, PSL2(F_5) and PSL2(F_7)
+    assert quo_simple_quotients(full_gl2(35)) == {("PSL2", 5), ("PSL2", 7)}
 
 
-def test_normal_subgroups_match_brute_force():
-    # in the mod-4 Borel group some normal subgroups are joins of the
-    # normal closures of single classes, not one such closure
-    borel4 = bfs_closure([g.entries for g in BOREL4.generators], 4)
-    for group, elems, n in ((full_gl2(2), gl2_elements(2), 2),
-                            (full_sl2(3), sl2_elements(3), 3),
-                            (full_gl2(3), gl2_elements(3), 3),
-                            (full_sl2(5), sl2_elements(5), 5),
-                            (BOREL4, borel4, 4)):
-        assert _normal_subgroups(group) == normal_subgroups(elems, n), n
+def _generating_set(elems, n):
+    """A few elements of the group ``elems`` that generate it."""
+    gens, span = [], {(1 % n, 0, 0, 1 % n)}
+    for x in sorted(elems):
+        if x not in span:
+            gens.append(x)
+            span = bfs_closure(gens, n)
+    return gens
+
+
+def _perfect_core(gens, n):
+    """The last term of the derived series, by oracle normal closures of
+    the generator commutators."""
+    elems = bfs_closure(gens, n)
+    while True:
+        gs = _generating_set(elems, n)
+        comms = [mat_mul(mat_mul(x, y, n), mat_mul(mat_inv(x, n),
+                                                   mat_inv(y, n), n), n)
+                 for x in gs for y in gs]
+        derived = normal_closure(gs, comms, n)
+        if len(derived) == len(elems):
+            return frozenset(elems)
+        elems = derived
+
+
+@functools.lru_cache(maxsize=None)
+def _core_quotient_orders(core, n):
+    """Orders of the simple quotients of the perfect group ``core``: it
+    over its maximal proper normal subgroups, found by brute force."""
+    proper = [N for N in normal_subgroups(core, n) if len(N) < len(core)]
+    return {len(core) // len(N) for N in proper
+            if not any(N < M for M in proper)}
+
+
+def _simple_quotient_orders(gens, n):
+    return _core_quotient_orders(_perfect_core(gens, n), n)
+
+
+def _psl2_orders(tags):
+    assert all(kind == "PSL2" for kind, _ in tags)
+    return {ell * (ell * ell - 1) // 2 for _, ell in tags}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quo_matches_brute_force_normal_subgroups(data):
+    # one generator spans a cyclic group, so draw two (possibly equal)
+    n = data.draw(st.sampled_from((5, 7, 10, 11, 14)))
+    gens = data.draw(st.lists(st.sampled_from(gl2_elements(n)),
+                              min_size=2, max_size=2))
+    tags = quo_simple_quotients(FiniteMatrixGroup(n, gens))
+    assert _psl2_orders(tags) == _simple_quotient_orders(gens, n)
+
+
+def _element_order(x, n):
+    k, y = 1, x
+    while y != (1, 0, 0, 1):
+        y, k = mat_mul(y, x, n), k + 1
+    return k
+
+
+def test_quo_of_a_binary_icosahedral_group():
+    # 2.A5 = <a, b> in SL2(F_11), a of order 4, b of order 6 and ab of
+    # order 10: its perfect core is itself, of order 120, not SL2(F_11)
+    sl = sl2_elements(11)
+    a = next(x for x in sl if _element_order(x, 11) == 4)
+    b = next(y for y in sl if _element_order(y, 11) == 6
+             and _element_order(mat_mul(a, y, 11), 11) == 10
+             and len(bfs_closure([a, y], 11)) == 120)
+    for gens in ([a, b], [a, b, (2, 0, 0, 2)]):
+        assert _simple_quotient_orders(gens, 11) == {60}
+        assert quo_simple_quotients(FiniteMatrixGroup(11, gens)) == \
+            {("PSL2", 5)}
 
 
 def test_quo_disjointness():
