@@ -61,14 +61,18 @@ def squarefree_part(q) -> int:
     return d if n > 0 else -d
 
 
-def is_rational_square(q) -> bool:
+def _rational_sqrt(q):
+    """The rational r >= 0 with r^2 = q, or None when q is not the square
+    of a rational."""
     q = Fraction(q)
     if q < 0:
-        return False
-    if q == 0:
-        return True
-    a, b = q.numerator, q.denominator
-    return math.isqrt(a) ** 2 == a and math.isqrt(b) ** 2 == b
+        return None
+    r = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return r if r * r == q else None
+
+
+def is_rational_square(q) -> bool:
+    return _rational_sqrt(q) is not None
 
 
 def _field_disc(d0: int) -> int:
@@ -111,8 +115,8 @@ def _biquadratic_reducible(p: Fraction, q: Fraction) -> bool:
     """Reducibility of x^4 + p x^2 + q over Q."""
     if is_rational_square(p * p - 4 * q):
         return True
-    if is_rational_square(q):
-        r = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    r = _rational_sqrt(q)
+    if r is not None:
         return is_rational_square(2 * r - p) or \
             is_rational_square(-2 * r - p)
     return False
@@ -134,9 +138,9 @@ def quartic_condition(p, q, M: int = 2) -> str:
     if _biquadratic_reducible(p, q):
         return NOT_DEGREE4
     res = p * p - 4 * q
-    if is_rational_square(q):
-        # V4: subfields Q(sqrt(-p+2s)), Q(sqrt(-p-2s)), Q(sqrt(p^2-4q))
-        r = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    r = _rational_sqrt(q)
+    if r is not None:
+        # V4: subfields Q(sqrt(-p+2r)), Q(sqrt(-p-2r)), Q(sqrt(p^2-4q))
         radicands = (-p + 2 * r, -p - 2 * r, res)
     else:
         # C4 or D4: the unique quadratic subfield is Q(sqrt(p^2-4q)), and
@@ -245,13 +249,13 @@ def _quadratic_split(P: int, Q: int, R: int):
     over the integers, or None."""
     if Q == 0:
         # s = 0: t and u are the roots of z^2 - P z + R
-        r = _exact_isqrt(P * P - 4 * R)
+        r = _rational_sqrt(P * P - 4 * R)
         if r is not None:
             return 0, (P - r) // 2, (P + r) // 2
         # s != 0 forces t = u = ±sqrt(R) and s^2 = 2t - P
-        t = _exact_isqrt(R)
+        t = _rational_sqrt(R)
         for t in (() if t is None else (t, -t)):
-            s = _exact_isqrt(2 * t - P)
+            s = _rational_sqrt(2 * t - P)
             if s:
                 return s, t, t
         return None
@@ -260,12 +264,6 @@ def _quadratic_split(P: int, Q: int, R: int):
         if (tu - dd) % 2 == 0 and (tu - dd) * (tu + dd) == 4 * R:
             return s, (tu - dd) // 2, (tu + dd) // 2
     return None
-
-
-def _exact_isqrt(n: int):
-    """The integer square root of n when n is a square, else None."""
-    r = math.isqrt(n) if n >= 0 else -1
-    return r if r * r == n else None
 
 
 # --- condition expression language ---

@@ -393,9 +393,7 @@ class ClassificationReport:
                 }
                 if m.condition is not None:
                     md["condition_holds"] = m.condition.ok
-                    md["condition_trace"] = [
-                        {"clause": c, "verdict": ok, "reason": why}
-                        for c, ok, why in m.condition.trace]
+                    md["condition_trace"] = trace_rows(m.condition)
                 if m.error:
                     md["error"] = m.error
                 d["members"].append(md)
@@ -405,6 +403,21 @@ class ClassificationReport:
             "run": {"cap_order": self.cap_order,
                     "elapsed_seconds": round(self.elapsed, 3)},
         }
+
+
+def trace_rows(result: ConditionResult) -> list:
+    """The trace of an evaluated condition as JSON rows."""
+    return [{"clause": c, "verdict": ok, "reason": why}
+            for c, ok, why in result.trace]
+
+
+def find_entry(catalog, label: str) -> CatalogEntry:
+    """The catalog entry labelled ``label``; UnknownLabel if there is
+    none."""
+    for e in catalog:
+        if e.label == label:
+            return e
+    raise UnknownLabel(f"no catalog entry labelled {label!r}")
 
 
 def classify(entries) -> ClassificationReport:
@@ -431,7 +444,7 @@ def classify(entries) -> ClassificationReport:
                     spec = specs[md.Mv]
                     phi = AbelianHom(spec.a_group, spec.quotient,
                                      md.phi_images)
-                    member = build_member(spec, phi, v_tag=md.v)
+                    member = build_member(spec, phi)
                     idx, how = _member_commutator_index(spec, member, md.Mv)
                     mrep.commutator_index = idx
                     mrep.method = how
@@ -462,13 +475,7 @@ def check_curve(label: str, j, catalog) -> CurveCheck:
     j = 0 and j = 1728 are excluded up front (the moduli criterion does
     not apply there); otherwise membership is a rational-fiber solve.
     """
-    entry = None
-    for e in catalog:
-        if e.label == label:
-            entry = e
-            break
-    if entry is None:
-        raise UnknownLabel(f"no catalog entry labelled {label!r}")
+    entry = find_entry(catalog, label)
     if j is not INFINITY:
         j = Fraction(j)
         if j in (0, 1728):

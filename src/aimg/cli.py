@@ -18,10 +18,11 @@ from .arithcond import eval_condition
 from .classifier import (
     check_curve,
     classify,
+    find_entry,
     load_catalog,
+    trace_rows,
 )
-from .errors import AimgError, InvariantViolation, SchemaError, \
-    UnknownLabel, is_json_int
+from .errors import AimgError, InvariantViolation, SchemaError, is_json_int
 from .matgroup import _prime_factors
 from .modgenus import genus
 from .opengroup import (
@@ -158,14 +159,7 @@ def _cmd_surjectivity(args):
 
 
 def _cmd_condition(args):
-    catalog = _catalog_from(args)
-    entry = None
-    for e in catalog:
-        if e.label == args.label:
-            entry = e
-            break
-    if entry is None:
-        raise UnknownLabel(f"no catalog entry labelled {args.label!r}")
+    entry = find_entry(_catalog_from(args), args.label)
     v = _parse_v(args.v)
     cond = entry.conditions
     if cond is None:
@@ -181,8 +175,7 @@ def _cmd_condition(args):
         "label": args.label,
         "v": str(v),
         "holds": result.ok,
-        "trace": [{"clause": c, "verdict": ok, "reason": why}
-                  for c, ok, why in result.trace],
+        "trace": trace_rows(result),
     }, sys.stdout, indent=2)
     print()
     return 0

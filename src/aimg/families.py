@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .errors import NotAHomomorphism, NotEligible
 from .matgroup import (
@@ -80,8 +78,10 @@ NOT_APPLICABLE = _NotApplicable()
 class FamilySpec:
     """4-tuple (H, G0, A, psi) with A = (Z/MZ)^x and psi = det mod M.
 
-    Validation happens eagerly: H must be normal in G0 (NotNormal) and
-    G0/H abelian (NotAbelian), both checked at the common level.
+    Validation happens eagerly at the common level: H must be normal in
+    G0 (NotNormal) and G0/H abelian (NotAbelian).  Both checks are exact:
+    H is tested against the conjugates of its generators by G0's, and
+    G0/H against the commutators of G0's generators.
     """
 
     g0: OpenSubgroup
@@ -133,7 +133,6 @@ class FamilyMember:
     index_in_g0: int
     # H_phi at the member level, with its order recorded
     kernel: FiniteMatrixGroup = field(repr=False)
-    v_tag: Optional[Fraction] = None
 
     @property
     def _eset(self) -> frozenset:
@@ -155,8 +154,7 @@ def _chi(spec: FamilySpec, phi: AbelianHom, g):
     return Q.add(spec.eta(g), Q.neg(phi(spec.psi_log(g, spec.member_level))))
 
 
-def build_member(spec: FamilySpec, phi: AbelianHom,
-                 v_tag: Optional[Fraction] = None) -> FamilyMember:
+def build_member(spec: FamilySpec, phi: AbelianHom) -> FamilyMember:
     """H_phi = {g in G0 : gH = phi(psi(g))}, as the kernel of chi, built
     from the generators of G0 at the member level Lm = lcm(level(G0), M).
 
@@ -189,7 +187,7 @@ def build_member(spec: FamilySpec, phi: AbelianHom,
     return FamilyMember(
         family=spec, phi=phi,
         group=OpenSubgroup.from_group(kernel),
-        index_in_g0=len(trans), kernel=kernel, v_tag=v_tag)
+        index_in_g0=len(trans), kernel=kernel)
 
 
 @dataclass

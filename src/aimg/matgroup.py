@@ -247,7 +247,7 @@ class _Closure:
         self.n = n
         self.cap = cap or group_size_cap()
         self.gens = []
-        ident = TID if n > 1 else (0, 0, 0, 0)
+        ident = _reduced(TID, n)
         self.elems = [ident]
         self.seen = {ident}
         for g in gens:
@@ -257,7 +257,7 @@ class _Closure:
         """Extend the closure by one new generator; returns True if the
         group grew."""
         n = self.n
-        z = tuple(v % n for v in z)
+        z = _reduced(z, n)
         if z in self.seen:
             return False
         # seed with old * z so every word containing z is reachable by
@@ -316,7 +316,7 @@ def _schreier(gens, n, start, act):
     ``schreier`` lists the distinct non-identity Schreier generators
     t_q g t_{act(q, g)}^-1, which generate ker v.
     """
-    ident = tuple(v % n for v in TID)
+    ident = _reduced(TID, n)
     trans = {start: ident}
     queue = deque(trans)
     while queue:
@@ -352,6 +352,12 @@ def _cosets(elements, sub, mul):
     return reps, rep_of
 
 
+def _reduced(x, n) -> tuple:
+    """The entries of a ResidueMatrix or a 4-tuple, reduced mod n."""
+    t = x.entries if isinstance(x, ResidueMatrix) else x
+    return tuple(v % n for v in t)
+
+
 class FiniteMatrixGroup:
     """A subgroup of GL2(Z/NZ), given by generators, with lazily
     materialized element set.
@@ -369,12 +375,11 @@ class FiniteMatrixGroup:
         self.modulus = modulus
         gens = {}
         for g in generators:
-            t = g.entries if isinstance(g, ResidueMatrix) else tuple(g)
-            t = tuple(v % modulus for v in t)
+            t = _reduced(g, modulus)
             if math.gcd(tdet(t, modulus), modulus) != 1:
                 raise NotInvertible(f"generator {t} not invertible mod {modulus}")
             gens[t] = None
-        gens.pop(tuple(v % modulus for v in TID), None)
+        gens.pop(_reduced(TID, modulus), None)
         self.generator_tuples = tuple(gens)
         self._elements = None
         self._eset = None
@@ -384,7 +389,7 @@ class FiniteMatrixGroup:
     def from_elements(cls, elements, modulus: int):
         """Build a group from a full element set, with a small greedy
         generating set (deterministic: sorted element order)."""
-        elems = sorted({tuple(v % modulus for v in e) for e in elements})
+        elems = sorted({_reduced(e, modulus) for e in elements})
         clo = _Closure(modulus, elems)
         if len(clo.seen) != len(elems):
             raise NotASubgroup("element set is not closed under the group law")
@@ -427,8 +432,7 @@ class FiniteMatrixGroup:
         return self._order
 
     def __contains__(self, x):
-        t = x.entries if isinstance(x, ResidueMatrix) else tuple(x)
-        return tuple(v % self.modulus for v in t) in self.element_set
+        return _reduced(x, self.modulus) in self.element_set
 
     def __le__(self, other: "FiniteMatrixGroup"):
         if self.modulus != other.modulus:
@@ -446,10 +450,8 @@ class FiniteMatrixGroup:
         return hash((self.modulus, self.element_set))
 
     def is_abelian(self) -> bool:
-        n = self.modulus
-        gens = self.generator_tuples
-        return all(tmul(x, y, n) == tmul(y, x, n)
-                   for x, y in itertools.combinations(gens, 2))
+        ident = _reduced(TID, self.modulus)
+        return all(c == ident for c in _commutators(self))
 
     def __repr__(self):
         size = self._order
@@ -579,8 +581,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     n = G.modulus
     gens = []
     for s in seeds:
-        t = s.entries if isinstance(s, ResidueMatrix) else tuple(s)
-        t = tuple(v % n for v in t)
+        t = _reduced(s, n)
         if t != TID and t not in gens:
             gens.append(t)
     if not gens:
@@ -615,18 +616,24 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(n, lifts + seq, len(trans) * layer_order)
 
 
-def derived_subgroup(G: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Commutator subgroup [G, G] (normal closure of generator
-    commutators)."""
+def _commutators(G: FiniteMatrixGroup) -> list:
+    """The commutators x y x^-1 y^-1 of every ordered pair of G's
+    generators.  [G, G] is their normal closure, so a normal subgroup H
+    holds [G, G], that is G/H is abelian, exactly when it holds them."""
     n = G.modulus
-    seeds = []
     gens = G.generator_tuples
+    out = []
     for x in gens:
         xi = tinv(x, n)
         for y in gens:
-            yi = tinv(y, n)
-            seeds.append(tmul(tmul(x, y, n), tmul(xi, yi, n), n))
-    return normal_closure(G, seeds)
+            out.append(tmul(tmul(x, y, n), tmul(xi, tinv(y, n), n), n))
+    return out
+
+
+def derived_subgroup(G: FiniteMatrixGroup) -> FiniteMatrixGroup:
+    """Commutator subgroup [G, G] (normal closure of generator
+    commutators)."""
+    return normal_closure(G, _commutators(G))
 
 
 def center(G: FiniteMatrixGroup):
@@ -722,46 +729,20 @@ class FiniteAbelianGroup:
         """Cyclic decomposition of a concrete finite abelian group.
 
         ``elements`` are hashable, mutually comparable labels; ``mul`` is
-        the group law.  Raises NotAbelian if the law is not commutative.
+        the group law, which the caller guarantees to be commutative (unit
+        groups are; ``abelian_invariants`` and ``quotient_group`` check
+        it exactly on generators first).
         """
         elems = sorted(set(elements))
         n = len(elems)
         if n == 1:
             return cls((), (), {elems[0]: ()})
-
-        pow_cache = {}
-
-        def power(x, k):
-            r = identity
-            b = x
-            while k:
-                if k & 1:
-                    r = mul(r, b)
-                b = mul(b, b)
-                k >>= 1
-            return r
-
-        def elt_order(x):
-            if x in pow_cache:
-                return pow_cache[x]
-            o = 1
-            y = x
-            while y != identity:
-                y = mul(y, x)
-                o += 1
-            pow_cache[x] = o
-            return o
-
-        # spot-check commutativity on a generating-ish sample
-        for x in elems[: min(len(elems), 12)]:
-            for y in elems[: min(len(elems), 12)]:
-                if mul(x, y) != mul(y, x):
-                    raise NotAbelian("group law is not commutative")
+        power, _ = _power_order(mul, identity)
 
         basis = []  # (label, order) with orders forming primary pieces
         for p, e in _prime_factors(n).items():
             sylow = [x for x in elems if power(x, p ** e) == identity]
-            basis.extend(_p_basis(sylow, mul, identity, power, elt_order))
+            basis.extend(_p_basis(sylow, mul, identity))
 
         # merge primary cyclic pieces into invariant factors (descending)
         by_prime = {}
@@ -795,12 +776,41 @@ class FiniteAbelianGroup:
         return cls(invariants, blabels, log)
 
 
-def _p_basis(elems, mul, identity, power, elt_order):
+def _power_order(mul, identity):
+    """power(x, k) = x^k by repeated squaring and the element order
+    order(x), cached, for the group law ``mul``."""
+    orders = {}
+
+    def power(x, k):
+        r = identity
+        b = x
+        while k:
+            if k & 1:
+                r = mul(r, b)
+            b = mul(b, b)
+            k >>= 1
+        return r
+
+    def order(x):
+        if x not in orders:
+            o = 1
+            y = x
+            while y != identity:
+                y = mul(y, x)
+                o += 1
+            orders[x] = o
+        return orders[x]
+
+    return power, order
+
+
+def _p_basis(elems, mul, identity):
     """Basis of an abelian p-group given as a concrete element list."""
     if len(elems) == 1:
         return []
-    a = min(elems, key=lambda x: (-elt_order(x), x))
-    oa = elt_order(a)
+    power, order = _power_order(mul, identity)
+    a = min(elems, key=lambda x: (-order(x), x))
+    oa = order(a)
     cyc = []
     x = identity
     for _ in range(oa):
@@ -808,41 +818,14 @@ def _p_basis(elems, mul, identity, power, elt_order):
         x = mul(x, a)
     # quotient by <a>: canonical representative = least element of the coset
     reps, rep_of = _cosets(elems, cyc, mul)
-
-    def qmul(r1, r2):
-        return rep_of[mul(r1, r2)]
-
-    def qpower(x, k):
-        r = rep_of[identity]
-        b = x
-        while k:
-            if k & 1:
-                r = qmul(r, b)
-            b = qmul(b, b)
-            k >>= 1
-        return r
-
-    qorders = {}
-
-    def qorder(x):
-        if x not in qorders:
-            o = 1
-            y = x
-            rid = rep_of[identity]
-            while y != rid:
-                y = qmul(y, x)
-                o += 1
-            qorders[x] = o
-        return qorders[x]
-
-    qbasis = _p_basis(reps, qmul, rep_of[identity], qpower, qorder) \
-        if len(reps) > 1 else []
+    qbasis = _p_basis(reps, lambda r1, r2: rep_of[mul(r1, r2)],
+                      rep_of[identity])
     out = [(a, oa)]
     for b, q in qbasis:
         # lift: adjust by a power of a so the lift's order equals q
         for t in range(oa):
             cand = mul(b, power(a, t))
-            if elt_order(cand) == q:
+            if order(cand) == q:
                 out.append((cand, q))
                 break
         else:
@@ -857,7 +840,7 @@ def abelian_invariants(G: FiniteMatrixGroup, H: FiniteMatrixGroup = None):
         if not G.is_abelian():
             raise NotAbelian("group is not abelian")
         return FiniteAbelianGroup.from_concrete(
-            G.elements, lambda x, y: tmul(x, y, n), TID if n > 1 else (0, 0, 0, 0))
+            G.elements, lambda x, y: tmul(x, y, n), _reduced(TID, n))
     return quotient_group(G, H)[0]
 
 
@@ -866,7 +849,8 @@ def quotient_group(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
 
     Returns (FiniteAbelianGroup, eta) where eta maps an element tuple of G
     to its exponent vector in the quotient.  Raises NotNormal if H is not
-    normal in G.
+    normal in G, and NotAbelian if G/H is not abelian: with H normal, that
+    holds exactly when a commutator of two generators of G lies outside H.
     """
     n = G.modulus
     if not H <= G:
@@ -877,13 +861,15 @@ def quotient_group(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
         for h in H.generator_tuples:
             if tmul(tmul(g, h, n), gi, n) not in hset:
                 raise NotNormal("H is not normal in G")
+    if not all(c in hset for c in _commutators(G)):
+        raise NotAbelian("G/H is not abelian")
     reps, rep_of = _cosets(G.element_set, hset, lambda x, h: tmul(x, h, n))
     Q = FiniteAbelianGroup.from_concrete(
         reps, lambda r1, r2: rep_of[tmul(r1, r2, n)],
-        rep_of[TID if n > 1 else (0, 0, 0, 0)])
+        rep_of[_reduced(TID, n)])
 
     def eta(x):
-        return Q.log(rep_of[tuple(v % n for v in x)])
+        return Q.log(rep_of[_reduced(x, n)])
 
     return Q, eta
 

@@ -183,9 +183,8 @@ class OpenSubgroup:
         A = math.prod(p ** e for p, e in fac.items() if m % p == 0)
         B = L // A
         gens = []
-        for g in self.gens:
-            lift_a = ResidueMatrix(A, g.a, g.b, g.c, g.d)
-            gens.append(_crt_with_identity(lift_a, B))
+        for t in self.mod_level_group().generator_tuples:
+            gens.append(_crt_with_identity(ResidueMatrix(A, *t), B))
         if A > m:
             # kernel of GL2(Z/A) -> GL2(Z/m)
             steps = [m]
@@ -250,7 +249,7 @@ def _det_schreier(G: OpenSubgroup):
     (t_u a word in the generators of determinant u) and the Schreier
     generators t_u g t_{u det g}^-1 of G(m) ∩ SL2."""
     n = G.level
-    return _schreier([g.entries for g in G.gens], n, 1 % n,
+    return _schreier(G.mod_level_group().generator_tuples, n, 1 % n,
                      lambda u, g: u * tdet(g, n) % n)
 
 
@@ -332,11 +331,9 @@ def _least_level(grp: FiniteMatrixGroup, ambient_order) -> FiniteMatrixGroup:
 
 def minimal_level(G: OpenSubgroup) -> OpenSubgroup:
     """Equal open subgroup presented at its true level (the least m0 | m
-    at which it is the full preimage of its image)."""
-    grp = G.mod_level_group()
-    img = _least_level(grp, gl2_order)
-    if img is grp:
-        return G
+    at which it is the full preimage of its image), by the generators of
+    its image there: no identities and no repeats."""
+    img = _least_level(G.mod_level_group(), gl2_order)
     if img.modulus == 1:
         return OpenSubgroup.full()
     return OpenSubgroup.from_group(img)

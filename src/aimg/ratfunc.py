@@ -330,7 +330,7 @@ def solve_left_factor(pi: RationalMap, u: RationalMap) -> RationalMap:
     raise NoDecomposition("pi is not a rational function of u")
 
 
-# --- Moebius transformations via projective 2x2 matrices ---
+# --- Moebius transformations, solved as linear systems ---
 
 def _proj(x):
     if x is INFINITY:
@@ -339,46 +339,27 @@ def _proj(x):
     return (x, Fraction(1))
 
 
-def _matrix_to_zero_one_inf(p1, p2, p3):
-    """Matrix of the Moebius map sending p1, p2, p3 to 0, 1, infinity."""
-    (a1, b1), (a2, b2), (a3, b3) = _proj(p1), _proj(p2), _proj(p3)
-    # rows of M: num = (x b1 - a1) scaled, den = (x b3 - a3) scaled, with
-    # cross factors from p2 so that p2 -> 1
-    r1 = (b1, -a1)
-    r3 = (b3, -a3)
-    s1 = a2 * b3 - a3 * b2  # value of (p2 : p3) factor
-    s3 = a2 * b1 - a1 * b2
-    return (r1[0] * s1, r1[1] * s1, r3[0] * s3, r3[1] * s3)
-
-
-def _mat_inv(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def _mat_mul(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _moebius_from_matrix(m):
-    a, b, c, d = m
-    if a * d - b * c == 0:
-        return None
-    try:
-        g = RationalMap.from_fractions((b, a), (d, c))
-    except ZeroInput:
-        return None
-    return g if g.degree == 1 else None
-
-
 def moebius_from_points(xs, zs):
-    """The Moebius map with g(xs[i]) = zs[i] for three distinct points
-    each; None when degenerate."""
-    mx = _matrix_to_zero_one_inf(*xs)
-    mz = _matrix_to_zero_one_inf(*zs)
-    return _moebius_from_matrix(_mat_mul(_mat_inv(mz), mx))
+    """The Moebius map g with g(xs[i]) = zs[i], i = 0, 1, 2, or None when
+    no degree-1 map does this (repeated points on either side).
+
+    g = (a t + b)/(c t + d) sends (x1 : x2) to (a x1 + b x2 : c x1 + d x2),
+    so each pair x -> z = (z1 : z2) gives the linear equation
+    z2 (a x1 + b x2) = z1 (c x1 + d x2) in (a, b, c, d).  g exists exactly
+    when the three equations leave a one-dimensional solution space and
+    its matrix has ad != bc.
+    """
+    rows = []
+    for x, z in zip(xs, zs):
+        (x1, x2), (z1, z2) = _proj(x), _proj(z)
+        rows.append((z2 * x1, z2 * x2, -z1 * x1, -z1 * x2))
+    space = _nullspace(rows, 4)
+    if len(space) != 1:
+        return None
+    a, b, c, d = space[0]
+    if a * d == b * c:
+        return None
+    return RationalMap.from_fractions((b, a), (d, c))
 
 
 def moebius_equivalent(u: RationalMap, pi2: RationalMap):

@@ -24,6 +24,7 @@ from aimg.matgroup import (
     closure,
     derived_subgroup,
     enumerate_homs,
+    normal_closure,
     unit_group,
 )
 from aimg.modmatrix import ResidueMatrix
@@ -347,6 +348,17 @@ def test_spec_validation_errors():
     kernel3 = OpenSubgroup(3, ())
     with pytest.raises(NotAbelian):
         FamilySpec(OpenSubgroup.full(), kernel3, 2)
+
+
+def test_spec_rejects_a_nonabelian_quotient_of_order_24():
+    # [g1, g2] lies outside H, though the 12 least elements of G0 commute
+    # with each other mod H
+    g0 = OpenSubgroup(9, (RM((2, 6, 3, 1), 9), RM((8, 2, 1, 8), 9)))
+    h = OpenSubgroup.from_group(
+        normal_closure(g0.mod_level_group(), [(2, 6, 0, 5)]))
+    assert g0.mod_level_group().order // h.mod_level_group().order == 24
+    with pytest.raises(NotAbelian):
+        FamilySpec(g0, h, 4)
 
 
 def conductor_of(phi, M):

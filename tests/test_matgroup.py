@@ -159,6 +159,65 @@ def test_abelian_invariants_rejects_nonabelian():
         abelian_invariants(full_gl2(3))
 
 
+# G0/H of order 24 with [g1, g2] outside H, though the 12 least elements
+# of G0 commute with each other mod H
+G9_GENS = ((2, 6, 3, 1), (8, 2, 1, 8))
+H9_SEED = (2, 6, 0, 5)
+
+
+def test_quotient_group_rejects_a_nonabelian_quotient():
+    G = FiniteMatrixGroup(9, G9_GENS)
+    H = normal_closure(G, [H9_SEED])
+    assert (G.order, H.order) == (1296, 54)
+    with pytest.raises(NotAbelian):
+        quotient_group(G, H)
+
+
+@st.composite
+def normal_pairs(draw):
+    """(n, generators of G, seeds of a normal subgroup H of G): one or two
+    random generators at a small level, and one or two words in them whose
+    normal closure in G is H."""
+    n = draw(st.sampled_from((2, 3, 4, 6, 8, 9)))
+    gens = draw(st.lists(st.sampled_from(oracle_helpers.gl2_elements(n)),
+                         min_size=1, max_size=2))
+    words = draw(st.lists(st.lists(st.sampled_from(gens), min_size=1,
+                                   max_size=4), min_size=1, max_size=2))
+    seeds = []
+    for word in words:
+        x = (1 % n, 0, 0, 1 % n)
+        for g in word:
+            x = mul(x, g, n)
+        seeds.append(x)
+    return n, gens, seeds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=normal_pairs())
+@example(case=(9, list(G9_GENS), [H9_SEED]))
+def test_quotient_group_is_abelian_exactly_when_brute_force_says_so(case):
+    n, gens, seeds = case
+    g_elems = oracle_helpers.bfs_closure(gens, n)
+    h_elems = oracle_helpers.normal_closure(gens, seeds, n)
+    # H is normal, so whether x and y commute mod H depends only on their
+    # cosets: one element of each coset is enough
+    reps, covered = [], set()
+    for x in sorted(g_elems):
+        if x not in covered:
+            reps.append(x)
+            covered.update(mul(x, h, n) for h in h_elems)
+    inv = {x: oracle_helpers.mat_inv(x, n) for x in reps}
+    abelian = all(mul(mul(x, y, n), mul(inv[x], inv[y], n), n) in h_elems
+                  for x in reps for y in reps)
+    G = FiniteMatrixGroup(n, gens)
+    H = FiniteMatrixGroup.from_elements(h_elems, n)
+    if abelian:
+        assert quotient_group(G, H)[0].order == len(reps)
+    else:
+        with pytest.raises(NotAbelian):
+            quotient_group(G, H)
+
+
 def test_quotient_group_eta_is_homomorphism():
     G = full_gl2(5)
     H = derived_subgroup(G)

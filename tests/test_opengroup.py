@@ -402,11 +402,10 @@ def test_minimal_level_is_the_least_preimage_level(G):
                  * len(gl2_elements(m)) // len(gl2_elements(d)) == size)
     Gm = minimal_level(G)
     assert Gm.level == least
-    if least < m:
-        # a presentation built at the least level has no I and no repeats
-        entries = [g.entries for g in Gm.gens]
-        assert len(set(entries)) == len(entries)
-        assert (1 % least, 0, 0, 1 % least) not in entries
+    # the presentation at the least level has no I and no repeats
+    entries = [g.entries for g in Gm.gens]
+    assert len(set(entries)) == len(entries)
+    assert (1 % least, 0, 0, 1 % least) not in entries
     assert preimage([g.entries for g in Gm.gens], least, m) == \
         bfs_closure([g.entries for g in G.gens], m)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from aimg.errors import (
     DegenerateSubstitution,
@@ -22,6 +23,7 @@ from aimg.ratfunc import (
     evaluate,
     instantiate,
     moebius_equivalent,
+    moebius_from_points,
     rational_fibers,
     solve_left_factor,
 )
@@ -164,6 +166,31 @@ def test_moebius_equivalent_none():
     u = RationalMap.from_coeffs((1, 0, 1), (1,))   # t^2 + 1: fibers differ
     pi2 = RationalMap.from_coeffs((0, 1, 1), (1, 1))
     assert moebius_equivalent(u, pi2) is None
+
+
+POINTS = st.one_of(st.just(INFINITY),
+                   st.fractions(-4, 4, max_denominator=3))
+MOEBIUS = st.tuples(*[st.integers(-5, 5)] * 4).filter(
+    lambda m: m[0] * m[3] != m[1] * m[2]).map(
+    lambda m: RationalMap.from_fractions((m[1], m[0]), (m[3], m[2])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=MOEBIUS, xs=st.lists(POINTS, min_size=3, max_size=3, unique=True))
+def test_moebius_from_points_recovers_the_map(g, xs):
+    assert moebius_from_points(xs, [evaluate(g, x) for x in xs]) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(xs=st.lists(POINTS, min_size=3, max_size=3, unique=True),
+       zs=st.lists(POINTS, min_size=2, max_size=2, unique=True),
+       data=st.data())
+def test_moebius_from_points_rejects_repeated_targets(xs, zs, data):
+    # one target twice, at any two of the three places
+    z = zs + [data.draw(st.sampled_from(zs))]
+    z = data.draw(st.permutations(z))
+    assert moebius_from_points(xs, z) is None
+    assert moebius_from_points(xs, [zs[0]] * 3) is None
 
 
 def fibers_oracle(f, j):
