@@ -279,8 +279,12 @@ class _Closure:
                     partial=len(seen), modulus=n, generators=len(gens))
             seen.add(x)
             elems.append(x)
-            for g in gens:
-                y = tmul(x, g, n)
+            # tmul inlined, x unpacked once: this loop is most of the cost
+            # of every closure, genus's H (through intersect_sl2) included
+            a, b, c, d = x
+            for e, f, g, h in gens:
+                y = ((a * e + b * g) % n, (a * f + b * h) % n,
+                     (c * e + d * g) % n, (c * f + d * h) % n)
                 if y not in seen:
                     queue.append(y)
         return True

@@ -2,29 +2,43 @@
 
 The curve is a quotient of the upper half plane by the SL2(Z)-preimage of
 H = the SL2-part of ±G, so everything reduces to the right action of
-S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] on the cosets H\\SL2(Z/N).  The
-genus is counted, not read off that action: with d = [SL2(Z/N) : H],
+S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] on the d = [SL2(Z/N) : H] cosets
+H\\SL2(Z/N).  The genus is counted, not read off that action, from three
+sums over the elements of H of class functions of SL2(Z/N):
 
-- the fixed points of g in {S, ST} number d * |Cl(g) ∩ H| / |Cl(g)|,
-  since Hx is fixed by g iff x g x^-1 lies in H (Cl(g) is the conjugacy
-  class of g in SL2(Z/N));
+- g in {S, ST} fixes Hx iff x g x^-1 lies in H, so it fixes
+  d |Cl(g) ∩ H| / |Cl(g)| = |C(g)| #{h in H : h ~ g} / |H| cosets, where
+  Cl(g) is the conjugacy class of g and C(g) its centralizer;
 - the cusps, the <T>-orbits on H\\SL2, are the H-orbits on SL2/<T>, that
-  is on the primitive vectors of (Z/N)^2 (the first columns).
+  is on the primitive vectors of (Z/N)^2 (the first columns); by Burnside
+  they number sum_h Fix(h) / |H|, Fix(h) the primitive vectors h fixes.
 
-Neither SL2(Z/N) nor G(N) is enumerated; ``coset_action`` still builds
-the explicit permutations.
+Both class functions factor over the prime powers q = p^k exactly dividing
+N, since SL2(Z/N) is the product of the SL2(Z/q) by CRT.  The classes of a
+product are the products of classes, so h ~ g iff h mod q lies in
+Cl_q(g mod q) for every q, and |C(g)| is the product of the
+|SL2(Z/q)| / |Cl_q|; each Cl_q is walked by conjugation, under the group
+cap.  Fix(h) is the product of the Fix_q(h mod q), read off the Smith form
+diag(p^a, p^b) of the integer lift M of h - I: p^a is the p-part of the
+gcd of M's entries and p^(a+b) that of det M.  A primitive v fixed mod
+p^k is a solution of M v = 0 mod p^k (there are p^(min(a,k) + min(b,k)))
+that is not p times a solution mod p^(k-1) (there are
+p^(min(a,k-1) + min(b,k-1))); only a <= k and det M mod p^(a+k) matter,
+so both valuations are capped there.
+
+Neither SL2(Z/N), nor G(N), nor a class at level N is enumerated;
+``coset_action`` still builds the explicit permutations.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonIntegralGenus
-from .matgroup import _cosets, _orbit, sl2_order
-from .modmatrix import tinv, tmul
+from .matgroup import _cosets, _orbit, _prime_factors, sl2_order
+from .modmatrix import tmul
 from .opengroup import OpenSubgroup, full_sl2, intersect_sl2
 
 __all__ = ["CosetAction", "GenusData", "coset_action", "genus"]
@@ -78,55 +92,108 @@ class GenusData:
 def _conjugacy_class(g: tuple, n: int) -> frozenset:
     """The class of g in SL2(Z/n): its orbit under conjugation by S and T,
     which generate SL2(Z/n)."""
-    moves = [lambda x, s=s, si=tinv(s, n): tmul(tmul(s, x, n), si, n)
-             for s in ((0, n - 1, 1, 0), (1, 1, 0, 1))]
+    moves = [  # x -> S x S^-1 and x -> T x T^-1, multiplied out
+        lambda x: (x[3], -x[2] % n, -x[1] % n, x[0]),
+        lambda x: ((x[0] + x[2]) % n, (x[1] + x[3] - x[0] - x[2]) % n,
+                   x[2], (x[3] - x[2]) % n)]
     return frozenset(_orbit(g, moves))
 
 
-def _fixed_points(g: tuple, hset, degree: int, n: int) -> int:
-    """Fixed points of g on the d right cosets of H in SL2(Z/n):
-    d * |Cl(g) ∩ H| / |Cl(g)|."""
-    cls = _conjugacy_class(g, n)
-    hits = degree * sum(1 for x in cls if x in hset)
-    if hits % len(cls) != 0:
-        raise NonIntegralGenus(
-            f"fixed points of {g} mod {n}: {hits}/{len(cls)} is not an "
-            f"integer")
-    return hits // len(cls)
+def _valuation(x: int, p: int, cap: int) -> int:
+    """The exponent of p in x, capped at cap (x = 0 gives cap)."""
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
-def _cusp_count(gens, n: int) -> int:
-    """Orbits of the group generated by gens on the primitive vectors of
-    (Z/n)^2."""
-    moves = [lambda v, g=g: ((g[0] * v[0] + g[1] * v[1]) % n,
-                             (g[2] * v[0] + g[3] * v[1]) % n) for g in gens]
-    seen = set()
-    orbits = 0
-    for v in itertools.product(range(n), repeat=2):
-        if v not in seen and math.gcd(v[0], v[1], n) == 1:
-            orbits += 1
-            seen |= _orbit(v, moves)
-    return orbits
+def _fixed_vectors(h: tuple, p: int, k: int) -> int:
+    """Fix_q(h): the primitive vectors of (Z/p^k)^2 fixed by h, from the
+    Smith form of the integer lift of h - I (see the module docstring)."""
+    m = (h[0] - 1, h[1], h[2], h[3] - 1)
+    if (m[0] + m[3]) % p:
+        return 0  # no eigenvalue 1 mod p, so only v = 0 mod p is fixed
+    a = min(_valuation(x, p, k) for x in m)
+    b = _valuation(m[0] * m[3] - m[1] * m[2], p, a + k) - a
+    return p ** (a + b) - p ** (min(a, k - 1) + min(b, k - 1))
+
+
+def _local_parts(n: int) -> list:
+    """(q, p, k, Cl_q(S), Cl_q(ST), memo) for each q = p^k exactly
+    dividing n; the memo is filled by _class_sums."""
+    parts = []
+    for p, k in _prime_factors(n).items():
+        q = p ** k
+        parts.append((q, p, k, _conjugacy_class((0, q - 1, 1, 0), q),
+                      _conjugacy_class((0, q - 1, 1, 1), q), {}))
+    return parts
+
+
+def _class_sums(elements, parts) -> tuple:
+    """#{h ~ S}, #{h ~ ST} and the sum of Fix(h) over ``elements`` (tuples
+    mod n), each read off the residues mod the prime powers in ``parts``
+    (``_local_parts(n)``), memoized per residue."""
+    n = math.prod(part[0] for part in parts)
+    hits_s = hits_st = fixed = 0
+    for h in elements:
+        # all three vanish unless tr h is tr S = 0, tr ST = 1 or 2 mod n:
+        # h fixing a primitive v is [[1, *], [0, 1]] in a basis (v, w)
+        if (h[0] + h[3]) % n > 2:
+            continue
+        in_s = in_st = True
+        fix = 1
+        for q, p, k, cls_s, cls_st, memo in parts:
+            r = (h[0] % q, h[1] % q, h[2] % q, h[3] % q)
+            local = memo.get(r)
+            if local is None:
+                local = memo[r] = (r in cls_s, r in cls_st,
+                                   _fixed_vectors(r, p, k))
+            in_s = in_s and local[0]
+            in_st = in_st and local[1]
+            fix *= local[2]
+        hits_s += in_s
+        hits_st += in_st
+        fixed += fix
+    return hits_s, hits_st, fixed
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    if num % den != 0:
+        raise NonIntegralGenus(f"{what}: {num}/{den} is not an integer")
+    return num // den
 
 
 def genus(G: OpenSubgroup) -> GenusData:
     """Genus of the curve, with the (d, e2, e3, eInf) breakdown.
 
     g = 1 + d/12 - e2/4 - e3/3 - eInf/2 where e2, e3 count the cosets of
-    the SL2-part H of ±G fixed by S and ST and eInf counts T-orbits (cusps);
-    see the module docstring for how each is counted.  H is
-    intersect_sl2(G.with_minus_i()), from the same ±G as in coset_action
-    and recover_G0.
+    the SL2-part H of ±G fixed by S and ST and eInf counts T-orbits (cusps).
+    H is intersect_sl2(G.with_minus_i()), from the same ±G as in
+    coset_action and recover_G0, and is the one group materialized:
+
+        e2 = |C(S)| #{h in H : h ~ S} / |H|,
+        e3 = |C(ST)| #{h in H : h ~ ST} / |H|,
+        eInf = sum over h in H of Fix(h) / |H|,
+
+    with class membership and Fix read one prime power at a time (CRT
+    classes, Burnside, the Smith-form count; see the module docstring).
     """
     n = G.level
     if n == 1:
         return GenusData(0, 1, 1, 1, 1)
-    H = intersect_sl2(G.with_minus_i())
-    hset = H.element_set
-    d = sl2_order(n) // len(hset)
-    e2 = _fixed_points((0, n - 1, 1, 0), hset, d, n)  # S
-    e3 = _fixed_points((0, n - 1, 1, 1), hset, d, n)  # ST
-    e_inf = _cusp_count(H.generator_tuples, n)
+    hset = intersect_sl2(G.with_minus_i()).element_set
+    order = len(hset)
+    d = sl2_order(n) // order
+    parts = _local_parts(n)
+    cent_s = cent_st = 1
+    for q, _, _, cls_s, cls_st, _ in parts:
+        cent_s *= sl2_order(q) // len(cls_s)
+        cent_st *= sl2_order(q) // len(cls_st)
+    hits_s, hits_st, fixed = _class_sums(hset, parts)
+    e2 = _exact(cent_s * hits_s, order, f"fixed points of S mod {n}")
+    e3 = _exact(cent_st * hits_st, order, f"fixed points of ST mod {n}")
+    e_inf = _exact(fixed, order, f"cusps mod {n}")
     num = 12 + d - 3 * e2 - 4 * e3 - 6 * e_inf
     if num % 12 != 0 or num < 0:
         raise NonIntegralGenus(

@@ -409,12 +409,20 @@ def _rational_roots(coeffs):
         roots.add(Fraction(0))
     if len(p) == 1:
         return roots
-    fp = [Fraction(c) for c in p]
     for num in _divisors(abs(p[0])):
         for den in _divisors(abs(p[-1])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _peval(fp, cand) == 0:
-                    roots.add(cand)
+            if math.gcd(num, den) != 1:
+                continue
+            # s/den is a root iff den^deg p(s/den) = sum c_i s^i den^(deg-i)
+            # vanishes: homogeneous Horner in integers
+            for s in (num, -num):
+                acc = p[-1]
+                dpow = 1
+                for c in reversed(p[:-1]):
+                    dpow *= den
+                    acc = acc * s + c * dpow
+                if acc == 0:
+                    roots.add(Fraction(s, den))
     return roots
 
 

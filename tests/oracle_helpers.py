@@ -165,11 +165,22 @@ def _phi(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
-def x0_genus(N):
-    """g(X0(N)) = 1 + mu/12 - nu2/4 - nu3/3 - cusps/2 with the classical
-    counts: mu = N prod (1 + 1/p), nu2 = prod (1 + (-1/p)) unless 4 | N,
-    nu3 = prod (1 + (-3/p)) unless 9 | N, cusps = sum phi(gcd(d, N/d))."""
+def modular_curve_counts(curve, N):
+    """(mu, nu2, nu3, cusps) of X0(N), or of X1(N) for N >= 5, by the
+    classical formulas.  X0(N): mu = N prod (1 + 1/p),
+    nu2 = prod (1 + (-1/p)) unless 4 | N, nu3 = prod (1 + (-3/p)) unless
+    9 | N, cusps = sum phi(gcd(d, N/d)).  X1(N), N >= 5: no elliptic
+    points, index mu = N^2/2 prod (1 - 1/p^2) in PSL2(Z) and
+    sum phi(d) phi(N/d) / 2 cusps."""
     primes = _primes_dividing(N)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    if curve == "X1":
+        assert N >= 5
+        mu = N * N
+        for p in primes:
+            mu = mu // (p * p) * (p * p - 1)
+        cusps = sum(_phi(d) * _phi(N // d) for d in divisors) // 2
+        return mu // 2, 0, 0, cusps
     mu = N
     for p in primes:
         mu = mu // p * (p + 1)
@@ -177,28 +188,57 @@ def x0_genus(N):
         1 if p == 2 else 1 + (1 if p % 4 == 1 else -1) for p in primes)
     nu3 = 0 if N % 9 == 0 else math.prod(
         1 if p == 3 else 1 + (1 if p % 3 == 1 else -1) for p in primes)
-    cusps = sum(_phi(math.gcd(d, N // d))
-                for d in range(1, N + 1) if N % d == 0)
+    cusps = sum(_phi(math.gcd(d, N // d)) for d in divisors)
+    return mu, nu2, nu3, cusps
+
+
+def _genus_from_counts(mu, nu2, nu3, cusps):
     twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusps
     assert twelve_g % 12 == 0
     return twelve_g // 12
 
 
+def x0_genus(N):
+    """g(X0(N)) = 1 + mu/12 - nu2/4 - nu3/3 - cusps/2 with the classical
+    counts of modular_curve_counts."""
+    return _genus_from_counts(*modular_curve_counts("X0", N))
+
+
 def x1_genus(N):
-    """g(X1(N)): 0 for N <= 4; otherwise Gamma1(N) has no elliptic
-    points, index mu = N^2/2 prod (1 - 1/p^2) in PSL2(Z) and
-    sum phi(d) phi(N/d) / 2 cusps."""
+    """g(X1(N)): 0 for N <= 4, else from the classical counts."""
     if N <= 4:
         return 0
-    mu = N * N
-    for p in _primes_dividing(N):
-        mu = mu // (p * p) * (p * p - 1)
-    mu //= 2
-    cusps = sum(_phi(d) * _phi(N // d)
-                for d in range(1, N + 1) if N % d == 0) // 2
-    twelve_g = 12 + mu - 6 * cusps
-    assert twelve_g % 12 == 0
-    return twelve_g // 12
+    return _genus_from_counts(*modular_curve_counts("X1", N))
+
+
+def fixed_vector_counts(n):
+    """For every h in SL2(Z/n), the number of primitive vectors of
+    (Z/n)^2 it fixes (0 omitted), by listing the pairs (v, h) with
+    h v = v: for each primitive v = (x, y), every row (a, b) with
+    a x + b y = x is joined with every row (c, d) with c x + d y = y and
+    kept when ad - bc = 1."""
+    rows = list(itertools.product(range(n), repeat=2))
+    counts = {}
+    for x, y in rows:
+        if math.gcd(x, y, n) != 1:
+            continue
+        top = [r for r in rows if (r[0] * x + r[1] * y) % n == x]
+        bottom = [r for r in rows if (r[0] * x + r[1] * y) % n == y]
+        for a, b in top:
+            for c, d in bottom:
+                if (a * d - b * c) % n == 1:
+                    h = (a, b, c, d)
+                    counts[h] = counts.get(h, 0) + 1
+    return counts
+
+
+def sl2_size(n):
+    """|SL2(Z/n)| = n^3 prod over p | n of (1 - 1/p^2), primes found by
+    trial division."""
+    out = n ** 3
+    for p in prime_support(n):
+        out = out // (p * p) * (p * p - 1)
+    return out
 
 
 def squarefree_kernel(n):

@@ -110,8 +110,8 @@ def test_cap_order_flag(capsys, tmp_path, monkeypatch):
 
 
 def test_genus_class_walk_respects_the_cap(capsys, tmp_path):
-    # the classes of S and ST in SL2(Z/1000) hold 450,000 and 400,000
-    # elements, and the conjugacy-class walk stops at the cap
+    # genus walks the classes of S and ST in SL2(Z/125), of 18,750 and
+    # 12,500 elements, and the conjugacy-class walk stops at the cap
     grp = write_json(tmp_path, "g.json", {"level": 1000, "gens": []})
     code, _, err = run(capsys, "--cap-order", "10000", "genus",
                        "--group", grp)

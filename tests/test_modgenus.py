@@ -1,17 +1,30 @@
 """Modular-curve genus against a Riemann-Hurwitz oracle, the explicit
-coset permutations and the classical closed forms for X0(N), X1(N)."""
+coset permutations and the classical closed forms for X0(N), X1(N), ±Γ(N);
+its per-prime-power class functions against brute force over SL2(Z/N)."""
 
 import math
 
 from aimg.matgroup import FiniteMatrixGroup, all_subgroups_up_to_conjugacy
-from aimg.modgenus import coset_action, genus
+from aimg.modgenus import (
+    _class_sums,
+    _fixed_vectors,
+    _local_parts,
+    coset_action,
+    genus,
+)
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, full_sl2
 
 from oracle_helpers import (
     coset_permutations,
     cycle_count,
+    fixed_vector_counts,
+    mat_inv,
+    mat_mul,
+    modular_curve_counts,
     riemann_hurwitz_genus,
+    sl2_elements,
+    sl2_size,
     x0_genus,
     x1_genus,
 )
@@ -107,3 +120,53 @@ def test_genus_never_closes_the_whole_group(monkeypatch):
     monkeypatch.setenv("AIMG_CAP_ORDER", "10000")
     assert genus(modular_curve_group("X0", 120)).genus == 17
     assert genus(modular_curve_group("X1", 120)).genus == 289
+
+
+def test_x0_x1_breakdown_matches_classical_counts():
+    # (d, e2, e3, e_inf) against mu, nu2, nu3 and the cusp count; X1(N)
+    # for N <= 4 has irregular cusps or elliptic points the formula omits
+    for N in range(2, 61):
+        for curve in ("X0", "X1") if N >= 5 else ("X0",):
+            gd = genus(modular_curve_group(curve, N))
+            assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
+                modular_curve_counts(curve, N), (curve, N)
+
+
+PRIME_POWERS_TO_32 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                      for k in range(1, 6) if p ** k <= 32]
+
+
+def test_fixed_vectors_match_brute_force():
+    for p, k in PRIME_POWERS_TO_32:
+        q = p ** k
+        want = fixed_vector_counts(q)
+        for h in sl2_elements(q):
+            assert _fixed_vectors(h, p, k) == want.get(h, 0), (q, h)
+
+
+def test_class_sums_match_brute_force_conjugation():
+    # one element at a time: membership in the classes of S and ST, and
+    # Fix(h), against conjugation and fixed vectors over all of SL2(Z/N)
+    for N in (6, 10, 12, 15, 20, 24):
+        elems = sl2_elements(N)
+        S, ST = (0, N - 1, 1, 0), (0, N - 1, 1, 1)
+        cls_s, cls_st = ({mat_mul(mat_mul(g, x, N), mat_inv(g, N), N)
+                          for g in elems} for x in (S, ST))
+        fixed = fixed_vector_counts(N)
+        parts = _local_parts(N)
+        for h in elems:
+            assert _class_sums([h], parts) == \
+                (h in cls_s, h in cls_st, fixed.get(h, 0)), (N, h)
+
+
+def test_plus_minus_gamma_at_large_levels(monkeypatch):
+    # g(±Gamma(N)) = 1 + |SL2(Z/N)| (N - 6) / (24 N), with |SL2(Z/N)| up
+    # to 7.2e8; the largest walk is the class of ST mod 343 (134,456
+    # elements), so the cap stays far below any group at level N
+    monkeypatch.setenv("AIMG_CAP_ORDER", "150000")
+    for N in (343, 720, 1000):
+        order = sl2_size(N)
+        gd = genus(OpenSubgroup(N, ()))
+        assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
+            (order // 2, 0, 0, order // (2 * N)), N
+        assert 24 * N * (gd.genus - 1) == order * (N - 6), N

@@ -19,6 +19,7 @@ from aimg.ratfunc import (
     IDENTITY_MAP,
     INFINITY,
     RationalMap,
+    _rational_roots,
     compose,
     evaluate,
     instantiate,
@@ -221,6 +222,26 @@ def test_rational_fibers_matches_sympy():
         j = rng.choice([INFINITY, Fraction(rng.randrange(-10, 11)),
                         Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))])
         assert rational_fibers(f, j) == fibers_oracle(f, j), (f, j)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any),
+       planted=st.lists(st.builds(Fraction, st.integers(-12, 12),
+                                  st.integers(1, 6)),
+                        min_size=1, max_size=3))
+def test_rational_roots_finds_planted_roots(base, planted):
+    # base * prod (den t - num) over the planted roots num/den
+    poly = list(base)
+    for r in planted:
+        out = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i] -= r.numerator * c
+            out[i + 1] += r.denominator * c
+        poly = out
+    roots = _rational_roots(poly)
+    assert set(planted) <= roots
+    for r in roots:
+        assert sum(c * r ** i for i, c in enumerate(poly)) == 0, (poly, r)
 
 
 def test_family_maps_degrees():
