@@ -16,9 +16,40 @@ sums over the elements of H of class functions of SL2(Z/N):
 Both class functions factor over the prime powers q = p^k exactly dividing
 N, since SL2(Z/N) is the product of the SL2(Z/q) by CRT.  The classes of a
 product are the products of classes, so h ~ g iff h mod q lies in
-Cl_q(g mod q) for every q, and |C(g)| is the product of the
-|SL2(Z/q)| / |Cl_q|; each Cl_q is walked by conjugation, under the group
-cap.  Fix(h) is the product of the Fix_q(h mod q), read off the Smith form
+Cl_q(g mod q) for every q, and |C(g)| is the product of the |C_q(g)|.
+
+Cl_q(S) and Cl_q(ST) are decided by a closed form (the classes of
+SL2(Z/p^k) are classical: Nobs, "Die irreduziblen Darstellungen der
+Gruppen SL2(Z_p)", 1976).  Let g be S or ST, t = tr g (0 or 1) and
+chi = x^2 - t x + 1, and let h = (a, b, c, d) lie in SL2(Z/q).  If h is
+not scalar mod p, some v in {e1, e2, e1 + e2} is no eigenvector of h
+mod p (those are three lines of F_p^2, and the eigenvectors of a
+non-scalar matrix fill at most two), so X = [v | hv] is invertible, with
+det X = c, -b or c + d - a - b, and X^-1 h X = [[0, -1], [1, tr h]] is
+the companion matrix of h's characteristic polynomial x^2 - (tr h) x + 1.
+Hence such an h is conjugate to g in GL2(Z/q) iff tr h = t mod q.  Two
+such X differ by an element of the centralizer of the companion matrix in
+GL2, the units of R = Z/q[x]/(chi), whose determinant is the norm; so
+h ~ g in SL2(Z/q) iff det X_h / det X_g is a norm from R^x, and
+det X_g = 1 (v = e1, c = 1 for both S and ST).  The norm maps R^x onto
+(Z/q)^x when R is split or unramified (Hensel's lemma over the norm of
+F_p^2 / F_p).  R is ramified only at p | disc chi: p = 2 for S
+(disc -4) and p = 3 for ST (disc -3), where the norms a^2 + b^2 and
+a^2 + ab + b^2 are the units = 1 mod 4 and = 1 mod 3 (mod 2 when q = 2).
+A matrix scalar mod p is in neither class, as S and ST are not scalar
+mod p.  So, with x the first of (c, -b, c + d - a - b) that is a unit
+mod p:
+
+    h ~ S  iff tr h = 0 mod q, x exists, and x = 1 mod 4 if p = 2 < q;
+    h ~ ST iff tr h = 1 mod q, x exists, and x = 1 mod 3 if p = 3.
+
+C_q(g) in SL2 is the kernel of the norm on R^x, so |C_q(g)| is |R^x|
+over the number of norms: q - q/p when chi splits mod p (p = 1 mod 4 for
+S, p = 1 mod 3 for ST), q + q/p when it is inert (p = 3 mod 4;
+p = 2 mod 3), 2q at the ramified prime (q = 2^k >= 4 for S, q = 3^k for
+ST), and 2 for S at q = 2.
+
+Fix(h) is the product of the Fix_q(h mod q), read off the Smith form
 diag(p^a, p^b) of the integer lift M of h - I: p^a is the p-part of the
 gcd of M's entries and p^(a+b) that of det M.  A primitive v fixed mod
 p^k is a solution of M v = 0 mod p^k (there are p^(min(a,k) + min(b,k)))
@@ -26,18 +57,16 @@ that is not p times a solution mod p^(k-1) (there are
 p^(min(a,k-1) + min(b,k-1))); only a <= k and det M mod p^(a+k) matter,
 so both valuations are capped there.
 
-Neither SL2(Z/N), nor G(N), nor a class at level N is enumerated;
-``coset_action`` still builds the explicit permutations.
+No conjugacy class is walked, and neither SL2(Z/N) nor G(N) is
+enumerated; ``coset_action`` still builds the explicit permutations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NonIntegralGenus
-from .matgroup import _cosets, _orbit, _prime_factors, sl2_order
+from .matgroup import _cosets, _prime_factors, sl2_order
 from .modmatrix import tmul
 from .opengroup import OpenSubgroup, full_sl2, intersect_sl2
 
@@ -88,17 +117,6 @@ class GenusData:
     e_inf: int
 
 
-@lru_cache(maxsize=None)
-def _conjugacy_class(g: tuple, n: int) -> frozenset:
-    """The class of g in SL2(Z/n): its orbit under conjugation by S and T,
-    which generate SL2(Z/n)."""
-    moves = [  # x -> S x S^-1 and x -> T x T^-1, multiplied out
-        lambda x: (x[3], -x[2] % n, -x[1] % n, x[0]),
-        lambda x: ((x[0] + x[2]) % n, (x[1] + x[3] - x[0] - x[2]) % n,
-                   x[2], (x[3] - x[2]) % n)]
-    return frozenset(_orbit(g, moves))
-
-
 def _valuation(x: int, p: int, cap: int) -> int:
     """The exponent of p in x, capped at cap (x = 0 gives cap)."""
     v = 0
@@ -119,22 +137,35 @@ def _fixed_vectors(h: tuple, p: int, k: int) -> int:
     return p ** (a + b) - p ** (min(a, k - 1) + min(b, k - 1))
 
 
-def _local_parts(n: int) -> list:
-    """(q, p, k, Cl_q(S), Cl_q(ST), memo) for each q = p^k exactly
-    dividing n; the memo is filled by _class_sums."""
-    parts = []
-    for p, k in _prime_factors(n).items():
-        q = p ** k
-        parts.append((q, p, k, _conjugacy_class((0, q - 1, 1, 0), q),
-                      _conjugacy_class((0, q - 1, 1, 1), q), {}))
-    return parts
+def _classes(h: tuple, p: int, q: int) -> tuple:
+    """(h ~ S, h ~ ST) in SL2(Z/q), q a power of p, by the closed form of
+    the module docstring."""
+    t = (h[0] + h[3]) % q
+    x = next((x for x in (h[2], -h[1], h[2] + h[3] - h[0] - h[1])
+              if x % p), None)
+    if t > 1 or x is None:  # no trace of S or ST, or scalar mod p
+        return False, False
+    if t == 0:
+        return p != 2 or x % min(q, 4) == 1, False
+    return False, p != 3 or x % 3 == 1
 
 
-def _class_sums(elements, parts) -> tuple:
+def _centralizer_orders(p: int, q: int) -> tuple:
+    """(|C_q(S)|, |C_q(ST)|) in SL2(Z/q), q a power of p (see the module
+    docstring)."""
+    if p == 2:
+        cent_s = 2 if q == 2 else 2 * q
+    else:
+        cent_s = q - q // p if p % 4 == 1 else q + q // p
+    cent_st = 2 * q if p == 3 else q - q // p if p % 3 == 1 else q + q // p
+    return cent_s, cent_st
+
+
+def _class_sums(elements, n: int) -> tuple:
     """#{h ~ S}, #{h ~ ST} and the sum of Fix(h) over ``elements`` (tuples
-    mod n), each read off the residues mod the prime powers in ``parts``
-    (``_local_parts(n)``), memoized per residue."""
-    n = math.prod(part[0] for part in parts)
+    mod n), each read off the residues mod the prime powers q exactly
+    dividing n, memoized per residue."""
+    parts = [(p ** k, p, k, {}) for p, k in _prime_factors(n).items()]
     hits_s = hits_st = fixed = 0
     for h in elements:
         # all three vanish unless tr h is tr S = 0, tr ST = 1 or 2 mod n:
@@ -143,11 +174,11 @@ def _class_sums(elements, parts) -> tuple:
             continue
         in_s = in_st = True
         fix = 1
-        for q, p, k, cls_s, cls_st, memo in parts:
+        for q, p, k, memo in parts:
             r = (h[0] % q, h[1] % q, h[2] % q, h[3] % q)
             local = memo.get(r)
             if local is None:
-                local = memo[r] = (r in cls_s, r in cls_st,
+                local = memo[r] = (*_classes(r, p, q),
                                    _fixed_vectors(r, p, k))
             in_s = in_s and local[0]
             in_st = in_st and local[1]
@@ -185,12 +216,12 @@ def genus(G: OpenSubgroup) -> GenusData:
     hset = intersect_sl2(G.with_minus_i()).element_set
     order = len(hset)
     d = sl2_order(n) // order
-    parts = _local_parts(n)
     cent_s = cent_st = 1
-    for q, _, _, cls_s, cls_st, _ in parts:
-        cent_s *= sl2_order(q) // len(cls_s)
-        cent_st *= sl2_order(q) // len(cls_st)
-    hits_s, hits_st, fixed = _class_sums(hset, parts)
+    for p, k in _prime_factors(n).items():
+        local_s, local_st = _centralizer_orders(p, p ** k)
+        cent_s *= local_s
+        cent_st *= local_st
+    hits_s, hits_st, fixed = _class_sums(hset, n)
     e2 = _exact(cent_s * hits_s, order, f"fixed points of S mod {n}")
     e3 = _exact(cent_st * hits_st, order, f"fixed points of ST mod {n}")
     e_inf = _exact(fixed, order, f"cusps mod {n}")

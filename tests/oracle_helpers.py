@@ -18,11 +18,13 @@ def mat_mul(x, y, n):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def sl2_elements(n):
+    """All of SL2(Z/n) as tuples, by scanning every 4-tuple mod n."""
     if n == 1:
-        return [(0, 0, 0, 0)]
-    return [t for t in itertools.product(range(n), repeat=4)
-            if (t[0] * t[3] - t[1] * t[2]) % n == 1]
+        return ((0, 0, 0, 0),)
+    return tuple(t for t in itertools.product(range(n), repeat=4)
+                 if (t[0] * t[3] - t[1] * t[2]) % n == 1)
 
 
 def bfs_closure(gens, n):
@@ -62,6 +64,12 @@ def mat_inv(x, n):
             (-x[2] * di) % n, (x[0] * di) % n)
 
 
+def conjugacy_class(x, elems, n):
+    """The class of x in the group ``elems`` (tuples mod n): g x g^-1 for
+    every g in it."""
+    return {mat_mul(mat_mul(g, x, n), mat_inv(g, n), n) for g in elems}
+
+
 def normal_closure(gens, seeds, n):
     """The smallest subgroup that holds ``seeds`` and is closed under
     conjugation by ``gens``: a BFS closure of the seeds, re-run with every
@@ -90,8 +98,7 @@ def normal_subgroups(elems, n):
     seen = set()
     for x in elems:
         if x not in seen:
-            cls = frozenset(mat_mul(mat_mul(g, x, n), mat_inv(g, n), n)
-                            for g in elems)
+            cls = frozenset(conjugacy_class(x, elems, n))
             seen |= cls
             classes.append((x, cls))
     rest = [c for c in classes if ident not in c[1]]
@@ -109,9 +116,10 @@ def normal_subgroups(elems, n):
 
 def coset_permutations(h_elems, n):
     """Permutations of the right cosets of H in SL2(Z/n) under right
-    multiplication by S, T and ST.  H gets -I adjoined first."""
+    multiplication by S, T and ST.  H gets -I adjoined first: -I is
+    central, so the subgroup +-H is H together with -H."""
     minus_i = ((-1) % n, 0, 0, (-1) % n)
-    h = bfs_closure(set(h_elems) | {minus_i}, n)
+    h = set(h_elems) | {mat_mul(minus_i, x, n) for x in h_elems}
     ambient = sl2_elements(n)
     coset_of = {}
     reps = []

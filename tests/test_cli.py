@@ -1,6 +1,7 @@
 """End-to-end exercises of the aimg command line interface via main()."""
 
 import json
+import math
 import os
 from importlib import resources
 
@@ -109,11 +110,14 @@ def test_cap_order_flag(capsys, tmp_path, monkeypatch):
     assert os.environ["AIMG_CAP_ORDER"] == "123456"
 
 
-def test_genus_class_walk_respects_the_cap(capsys, tmp_path):
-    # genus walks the classes of S and ST in SL2(Z/125), of 18,750 and
-    # 12,500 elements, and the conjugacy-class walk stops at the cap
-    grp = write_json(tmp_path, "g.json", {"level": 1000, "gens": []})
-    code, _, err = run(capsys, "--cap-order", "10000", "genus",
+def test_genus_sl2_closure_respects_the_cap(capsys, tmp_path):
+    # the SL2-part of ±Gamma0(720) is the one group genus closes; it
+    # passes 100,000 elements, and the closure stops at the cap
+    units = [u for u in range(1, 720) if math.gcd(u, 720) == 1]
+    gens = [[1, 1, 0, 1]] + [[u, 0, 0, 1] for u in units] + \
+        [[1, 0, 0, u] for u in units]
+    grp = write_json(tmp_path, "g.json", {"level": 720, "gens": gens})
+    code, _, err = run(capsys, "--cap-order", "100000", "genus",
                        "--group", grp)
     assert code == 1
     assert "error: ResourceExceeded" in err

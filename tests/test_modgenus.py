@@ -3,12 +3,14 @@ coset permutations and the classical closed forms for X0(N), X1(N), ±Γ(N);
 its per-prime-power class functions against brute force over SL2(Z/N)."""
 
 import math
+import random
 
 from aimg.matgroup import FiniteMatrixGroup, all_subgroups_up_to_conjugacy
 from aimg.modgenus import (
+    _centralizer_orders,
     _class_sums,
+    _classes,
     _fixed_vectors,
-    _local_parts,
     coset_action,
     genus,
 )
@@ -16,9 +18,12 @@ from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, full_sl2
 
 from oracle_helpers import (
+    bfs_closure,
+    conjugacy_class,
     coset_permutations,
     cycle_count,
     fixed_vector_counts,
+    gl2_elements,
     mat_inv,
     mat_mul,
     modular_curve_counts,
@@ -79,23 +84,50 @@ def test_genus_formula_consistency():
             assert num == 12 * gd.genus
 
 
+def permutation_breakdown(perm_s, perm_t, perm_st):
+    """(d, e2, e3, e_inf) read off the explicit coset permutations: their
+    degree, the fixed points of S and ST and the cycles of T."""
+    return (len(perm_s),
+            *(sum(1 for i, j in enumerate(p) if i == j)
+              for p in (perm_s, perm_st)),
+            cycle_count(perm_t))
+
+
 def test_breakdown_matches_coset_permutations():
-    # (d, e2, e3, e_inf) read off the explicit permutations: fixed points
-    # of S and ST, cycles of T; coset_action gives the same permutations
+    # coset_action gives the same permutations as the oracle
     for N in range(1, 7):
         for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
-            perm_s, perm_t, perm_st = coset_permutations(sub, N)
-            fixed = [sum(1 for i, j in enumerate(p) if i == j)
-                     for p in (perm_s, perm_st)]
+            perms = coset_permutations(sub, N)
             G = open_subgroup_of(sub, N)
             gd = genus(G)
             assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
-                (len(perm_s), fixed[0], fixed[1], cycle_count(perm_t)), \
-                (N, sorted(sub))
+                permutation_breakdown(*perms), (N, sorted(sub))
             act = coset_action(G)
             assert (act.perm_s, act.perm_t, act.perm_st) == \
-                (tuple(perm_s), tuple(perm_t), tuple(perm_st)), \
-                (N, sorted(sub))
+                tuple(map(tuple, perms)), (N, sorted(sub))
+
+
+def test_breakdown_at_ramified_levels_matches_coset_permutations():
+    # the classes of S mod 2^k (k >= 2) and of ST mod 3^k carry the norm
+    # condition mod 4 or mod 3; a GL2-conjugate of S or ST falls in either
+    # SL2-class of its trace, so half the generators are such conjugates
+    rng = random.Random(37)
+    for n in (9, 16, 18, 27):
+        elems = gl2_elements(n)
+        moves = ((0, n - 1, 1, 0), (0, n - 1, 1, 1), (1, 1, 0, 1))
+        for _ in range(10):
+            gens = []
+            for x in rng.sample(elems, rng.randint(1, 2)):
+                if rng.random() < 0.5:
+                    x = mat_mul(mat_mul(x, rng.choice(moves), n),
+                                mat_inv(x, n), n)
+                gens.append(x)
+            h = [g for g in bfs_closure(gens + [(n - 1, 0, 0, n - 1)], n)
+                 if (g[0] * g[3] - g[1] * g[2]) % n == 1]
+            gd = genus(OpenSubgroup(n, tuple(
+                ResidueMatrix.from_tuple(g, n) for g in gens)))
+            assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
+                permutation_breakdown(*coset_permutations(h, n)), (n, gens)
 
 
 def modular_curve_group(curve, N):
@@ -144,26 +176,37 @@ def test_fixed_vectors_match_brute_force():
             assert _fixed_vectors(h, p, k) == want.get(h, 0), (q, h)
 
 
+def test_class_closed_forms_match_conjugation():
+    # membership in Cl_q(S) and Cl_q(ST), and |C_q| = |SL2(Z/q)| / |Cl_q|;
+    # q = 2^k (k >= 2) for S and q = 3^k for ST are the ramified cases
+    for p, k in PRIME_POWERS_TO_32 + [(7, 2)]:
+        q = p ** k
+        elems = sl2_elements(q)
+        cls_s, cls_st = (conjugacy_class(g, elems, q)
+                         for g in ((0, q - 1, 1, 0), (0, q - 1, 1, 1)))
+        assert _centralizer_orders(p, q) == \
+            (len(elems) // len(cls_s), len(elems) // len(cls_st)), q
+        for h in elems:
+            assert _classes(h, p, q) == (h in cls_s, h in cls_st), (q, h)
+
+
 def test_class_sums_match_brute_force_conjugation():
     # one element at a time: membership in the classes of S and ST, and
     # Fix(h), against conjugation and fixed vectors over all of SL2(Z/N)
     for N in (6, 10, 12, 15, 20, 24):
         elems = sl2_elements(N)
-        S, ST = (0, N - 1, 1, 0), (0, N - 1, 1, 1)
-        cls_s, cls_st = ({mat_mul(mat_mul(g, x, N), mat_inv(g, N), N)
-                          for g in elems} for x in (S, ST))
+        cls_s, cls_st = (conjugacy_class(g, elems, N)
+                         for g in ((0, N - 1, 1, 0), (0, N - 1, 1, 1)))
         fixed = fixed_vector_counts(N)
-        parts = _local_parts(N)
         for h in elems:
-            assert _class_sums([h], parts) == \
+            assert _class_sums([h], N) == \
                 (h in cls_s, h in cls_st, fixed.get(h, 0)), (N, h)
 
 
 def test_plus_minus_gamma_at_large_levels(monkeypatch):
     # g(±Gamma(N)) = 1 + |SL2(Z/N)| (N - 6) / (24 N), with |SL2(Z/N)| up
-    # to 7.2e8; the largest walk is the class of ST mod 343 (134,456
-    # elements), so the cap stays far below any group at level N
-    monkeypatch.setenv("AIMG_CAP_ORDER", "150000")
+    # to 7.2e8; H = {±I}, so nothing reaches even this cap
+    monkeypatch.setenv("AIMG_CAP_ORDER", "1000")
     for N in (343, 720, 1000):
         order = sl2_size(N)
         gd = genus(OpenSubgroup(N, ()))
