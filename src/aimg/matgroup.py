@@ -1,8 +1,8 @@
 """Finite subgroup machinery inside GL2(Z/NZ).
 
-Closure from generators, orbits, cosets and index, derived subgroups, abelian
-structure of groups and quotients, subgroup conjugacy, and enumeration of
-homomorphisms between finite abelian groups.
+Closure from generators, orbits, cosets, derived subgroups, abelian
+structure of quotients and unit groups, subgroup conjugacy, and enumeration
+of homomorphisms between finite abelian groups.
 
 Closure is breadth-first over canonical entry tuples with deterministic
 iteration order (generator order, then discovery order), so coset
@@ -48,12 +48,10 @@ __all__ = [
     "FiniteAbelianGroup",
     "AbelianHom",
     "closure",
-    "index_and_cosets",
     "derived_subgroup",
     "normal_closure",
     "center",
     "is_conjugate_subgroup",
-    "abelian_invariants",
     "enumerate_homs",
     "unit_group",
     "gl2_order",
@@ -453,10 +451,6 @@ class FiniteMatrixGroup:
     def __hash__(self):
         return hash((self.modulus, self.element_set))
 
-    def is_abelian(self) -> bool:
-        ident = _reduced(TID, self.modulus)
-        return all(c == ident for c in _commutators(self))
-
     def __repr__(self):
         size = self._order
         if size is None:
@@ -489,19 +483,6 @@ def closure(generators) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(n, gens)
 
 
-def index_and_cosets(G: FiniteMatrixGroup, H: FiniteMatrixGroup):
-    """Index [G:H] and left-coset representatives (lexicographically least
-    element per coset, cosets ordered by representative)."""
-    if not H <= G:
-        raise NotASubgroup("H is not a subgroup of G")
-    n = G.modulus
-    reps, _ = _cosets(G.element_set, H.element_set,
-                      lambda g, h: tmul(g, h, n))
-    index = G.order // H.order
-    assert len(reps) == index
-    return index, [ResidueMatrix.from_tuple(r, n) for r in reps]
-
-
 def _layer_sequence(n, r, conj, items):
     """Generators and order of the smallest subgroup T of K(r) that
     contains ``items`` and is normalized by the conjugations ``conj``
@@ -527,6 +508,7 @@ def _layer_sequence(n, r, conj, items):
         chain.append((d, p))
         d *= p
     rows = [[] for _ in chain]  # (pivot, coordinates, [x^-1, ..., x^-(p-1)])
+    power, _ = _power_order(lambda x, y: tmul(x, y, n), TID)
     seq = []
     todo = list(items)
     while todo:
@@ -544,12 +526,12 @@ def _layer_sequence(n, r, conj, items):
             continue
         piv = next(j for j, a in enumerate(v) if a)
         k = pow(v[piv], -1, p)
-        x = _power(x, k, n)
+        x = power(x, k)
         v = [a * k % p for a in v]
         xi = tinv(x, n)
-        inv_pows = [_power(xi, c, n) for c in range(1, p)]
+        inv_pows = [power(xi, c) for c in range(1, p)]
         rows[i].append((piv, v, inv_pows))
-        todo.append(_power(x, p, n))
+        todo.append(power(x, p))
         todo.extend(tmul(tmul(x, y, n), tmul(xi, tinv(y, n), n), n)
                     for y in seq)
         todo.extend(tmul(tmul(g, x, n), gi, n) for g, gi in conj)
@@ -557,30 +539,24 @@ def _layer_sequence(n, r, conj, items):
     return seq, math.prod(p ** len(rs) for (_, p), rs in zip(chain, rows))
 
 
-def _power(x, k, n):
-    """x^k mod n for 0 <= k, by k multiplications (k stays below a small
-    prime here)."""
-    out = TID
-    for _ in range(k):
-        out = tmul(out, x, n)
-    return out
-
-
 def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     """Smallest subgroup N that contains the seed elements and is
     normalized by G: the normal closure in G when the seeds lie in G.
 
-    N is closed by BFS only at r = rad(n), n the modulus: conjugation by
-    G's generators closes the seed images there, and S (``lifts``) keeps
-    the mod-n lift of every element that grew that closure.  When r = n
-    that closure is N, returned materialized.  Otherwise
+    N is closed by BFS only at r = rad(n), n the modulus.  S (``lifts``)
+    starts as the seeds that grow that closure and is walked once, in the
+    order it grows: each s in S is conjugated once by each generator g of
+    G, and a conjugate g s g^-1 that grows the closure joins S (as in the
+    normal closure of Holt-Eick-O'Brien's Handbook of CGT).  Every
+    conjugate then lies in <S> mod r, so <S> mod r is N mod r.
+    When r = n that closure is N, returned materialized.  Otherwise
     N = <S> * (N ∩ K(r)), K(r) the kernel of reduction mod r, and
     N ∩ K(r) is the smallest subgroup of K(r) normalized by G that holds
     the Schreier generators of <S> ∩ K(r) and t^-1 x for every seed x and
-    every conjugate x = g s g^-1 (g a generator of G, s in S), t the
-    transversal word of x mod r.  It is counted through the congruence
-    layers by _layer_sequence, so N is returned with its order recorded
-    and is not materialized.
+    every conjugate x formed in the walk, t the transversal word of x
+    mod r.  It is counted through the congruence layers by
+    _layer_sequence, so N is returned with its order recorded and is not
+    materialized.
     """
     n = G.modulus
     gens = []
@@ -594,15 +570,13 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     clo = _Closure(r)
     lifts = [x for x in gens if clo.add_gen(x)]
     conj = [(g, tinv(g, n)) for g in G.generator_tuples]
-    changed = True
-    while changed:
-        changed = False
+    conjugates = []
+    for s in lifts:  # grows while it is walked
         for g, gi in conj:
-            for s in list(lifts):
-                c = tmul(tmul(g, s, n), gi, n)
-                if clo.add_gen(c):
-                    lifts.append(c)
-                    changed = True
+            c = tmul(tmul(g, s, n), gi, n)
+            conjugates.append(c)
+            if clo.add_gen(c):
+                lifts.append(c)
     if r == n:
         return _closed(clo)
 
@@ -613,7 +587,6 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     trans, schreier = _schreier(lifts, n, low(TID),
                                 lambda q, s: tmul(q, lifts_low[s], r))
     inverse = {q: tinv(t, n) for q, t in trans.items()}
-    conjugates = [tmul(tmul(g, s, n), gi, n) for g, gi in conj for s in lifts]
     seq, layer_order = _layer_sequence(
         n, r, conj, schreier + [tmul(inverse[low(x)], x, n)
                                 for x in gens + conjugates])
@@ -621,17 +594,14 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
 
 
 def _commutators(G: FiniteMatrixGroup) -> list:
-    """The commutators x y x^-1 y^-1 of every ordered pair of G's
-    generators.  [G, G] is their normal closure, so a normal subgroup H
-    holds [G, G], that is G/H is abelian, exactly when it holds them."""
+    """The commutators x y x^-1 y^-1 of G's generators x before y.  [G, G]
+    is their normal closure, since [y, x] = [x, y]^-1 and [x, x] = I, so a
+    normal subgroup H holds [G, G], that is G/H is abelian, exactly when
+    it holds them."""
     n = G.modulus
-    gens = G.generator_tuples
-    out = []
-    for x in gens:
-        xi = tinv(x, n)
-        for y in gens:
-            out.append(tmul(tmul(x, y, n), tmul(xi, tinv(y, n), n), n))
-    return out
+    pairs = ((g, tinv(g, n)) for g in G.generator_tuples)
+    return [tmul(tmul(x, y, n), tmul(xi, yi, n), n)
+            for (x, xi), (y, yi) in itertools.combinations(pairs, 2)]
 
 
 def derived_subgroup(G: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -734,8 +704,8 @@ class FiniteAbelianGroup:
 
         ``elements`` are hashable, mutually comparable labels; ``mul`` is
         the group law, which the caller guarantees to be commutative (unit
-        groups are; ``abelian_invariants`` and ``quotient_group`` check
-        it exactly on generators first).
+        groups are; ``quotient_group`` checks it exactly on generators
+        first).
         """
         elems = sorted(set(elements))
         n = len(elems)
@@ -781,8 +751,9 @@ class FiniteAbelianGroup:
 
 
 def _power_order(mul, identity):
-    """power(x, k) = x^k by repeated squaring and the element order
-    order(x), cached, for the group law ``mul``."""
+    """power(x, k) = x^k by repeated squaring and the order order(x, p),
+    cached, of an element x of a p-group, by repeated p-th powers, for the
+    group law ``mul``."""
     orders = {}
 
     def power(x, k):
@@ -795,13 +766,13 @@ def _power_order(mul, identity):
             k >>= 1
         return r
 
-    def order(x):
+    def order(x, p):
         if x not in orders:
             o = 1
             y = x
             while y != identity:
-                y = mul(y, x)
-                o += 1
+                y = power(y, p)
+                o *= p
             orders[x] = o
         return orders[x]
 
@@ -812,9 +783,10 @@ def _p_basis(elems, mul, identity):
     """Basis of an abelian p-group given as a concrete element list."""
     if len(elems) == 1:
         return []
+    p = min(_prime_factors(len(elems)))
     power, order = _power_order(mul, identity)
-    a = min(elems, key=lambda x: (-order(x), x))
-    oa = order(a)
+    a = min(elems, key=lambda x: (-order(x, p), x))
+    oa = order(a, p)
     cyc = []
     x = identity
     for _ in range(oa):
@@ -829,23 +801,12 @@ def _p_basis(elems, mul, identity):
         # lift: adjust by a power of a so the lift's order equals q
         for t in range(oa):
             cand = mul(b, power(a, t))
-            if order(cand) == q:
+            if order(cand, p) == q:
                 out.append((cand, q))
                 break
         else:
             raise AssertionError("p-group basis lift failed")
     return out
-
-
-def abelian_invariants(G: FiniteMatrixGroup, H: FiniteMatrixGroup = None):
-    """Cyclic decomposition of G (or of the quotient G/H, H normal)."""
-    n = G.modulus
-    if H is None:
-        if not G.is_abelian():
-            raise NotAbelian("group is not abelian")
-        return FiniteAbelianGroup.from_concrete(
-            G.elements, lambda x, y: tmul(x, y, n), _reduced(TID, n))
-    return quotient_group(G, H)[0]
 
 
 def quotient_group(G: FiniteMatrixGroup, H: FiniteMatrixGroup):

@@ -22,9 +22,9 @@ from .matgroup import (
     sl2_order,
     _Closure,
     _closed,
-    _orbit,
     _prime_factors,
     _schreier,
+    unit_group,
 )
 from .modmatrix import ResidueMatrix, crt_combine, tdet
 
@@ -41,48 +41,13 @@ __all__ = [
 ]
 
 
-def _unit_gens(n: int):
-    """Generators of (Z/nZ)^x (one per cyclic factor of the standard
-    decomposition)."""
-    lifted = []
-    for p, e in _prime_factors(n).items():
-        q = p ** e
-        rest = n // q
-        local = []
-        if p == 2:
-            if e >= 2:
-                local.append(-1 % q)
-            if e >= 3:
-                local.append(5)
-        else:
-            for g in range(2, q):
-                if math.gcd(g, q) != 1:
-                    continue
-                ok = True
-                phi = q // p * (p - 1)
-                for r in _prime_factors(phi):
-                    if pow(g, phi // r, q) == 1:
-                        ok = False
-                        break
-                if ok:
-                    local.append(g)
-                    break
-        for g in local:
-            if rest == 1:
-                lifted.append(g % n)
-            else:
-                inv = pow(q, -1, rest)
-                lifted.append((g + q * ((1 - g) * inv % rest)) % n)
-    return lifted
-
-
 def gl2_generator_matrices(n: int):
     """Standard generators of GL2(Z/nZ): the two SL2(Z) generators plus
-    diag(u, 1) over unit generators."""
+    diag(u, 1) over the basis of unit_group(n)."""
     if n == 1:
         return []
     gens = [ResidueMatrix(n, 1, 1, 0, 1), ResidueMatrix(n, 0, -1, 1, 0)]
-    for u in _unit_gens(n):
+    for u in unit_group(n).basis:
         gens.append(ResidueMatrix(n, u, 0, 0, 1))
     return gens
 
@@ -91,11 +56,8 @@ def gl2_generator_matrices(n: int):
 def full_gl2(n: int) -> FiniteMatrixGroup:
     """GL2(Z/nZ) with its order recorded, not closed.  S and T generate
     SL2(Z/nZ), because SL2(Z) -> SL2(Z/nZ) is onto, so the generators span
-    GL2(Z/nZ) once the diag(u, 1) span the determinants; only that is
-    checked here."""
-    units = _unit_gens(n)
-    assert len(_orbit(1 % n, [lambda x, u=u: x * u % n for u in units])) \
-        == gl2_order(n) // sl2_order(n)
+    GL2(Z/nZ) since the diag(u, 1) span the determinants: unit_group(n)
+    raises unless its basis generates (Z/nZ)^x."""
     return FiniteMatrixGroup(n, gl2_generator_matrices(n), gl2_order(n))
 
 

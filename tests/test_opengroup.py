@@ -19,11 +19,12 @@ from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
-    _unit_gens,
+    _full_factor_commutator,
     commutator_open,
     det_image,
     full_gl2,
     full_sl2,
+    gl2_generator_matrices,
     gl2_order,
     intersect_sl2,
     minimal_level,
@@ -39,6 +40,7 @@ from oracle_helpers import (
     mat_mul,
     normal_closure,
     preimage,
+    sl2_elements,
 )
 
 
@@ -66,10 +68,13 @@ def test_full_gl2_and_sl2_close_to_their_recorded_orders():
         assert len(full_sl2.__wrapped__(n).elements) == sl2_order(n)
 
 
-def test_unit_gens_span_the_units():
-    # the determinant half of full_gl2's generation argument
+def test_gl2_generator_determinants_span_the_units():
+    # the determinant half of full_gl2's generation argument, checked
+    # without trusting unit_group's own coverage check
     for n in range(1, 1001):
-        gens = _unit_gens(n)
+        diag = [g.entries for g in gl2_generator_matrices(n)[2:]]
+        assert all(t[1:] == (0, 0, 1) for t in diag)
+        gens = [t[0] for t in diag]
         span = {1 % n}
         frontier = list(span)
         while frontier:
@@ -191,6 +196,24 @@ def test_commutator_full_group():
     det1 = sum(1 for t in res.commutator.finite_image(24).elements
                if (t[0] * t[3] - t[1] * t[2]) % 24 == 1)
     assert sl2_order(24) // det1 == 2
+
+
+@pytest.mark.parametrize("ell, u", [(2, 3), (3, 2)])
+def test_full_factor_commutator_matches_brute_force(ell, u):
+    # D(ell^2) of GL2(Z/ell^2), generated by T, S and diag(u, 1), is the
+    # normal closure of the generators' commutators
+    n = ell * ell
+    gens = [(1, 1, 0, 1), (0, n - 1, 1, 0), (u, 0, 0, 1)]
+    inv = [mat_inv(g, n) for g in gens]
+    comms = [mat_mul(mat_mul(x, y, n), mat_mul(xi, yi, n), n)
+             for x, xi in zip(gens, inv) for y, yi in zip(gens, inv)]
+    want = normal_closure(gens, comms, n)
+    img, index = _full_factor_commutator(ell)
+    c = img.modulus
+    image = bfs_closure(img.generator_tuples, c)
+    assert {t for t in sl2_elements(n)
+            if tuple(v % c for v in t) in image} == want
+    assert index == len(sl2_elements(n)) // len(want)
 
 
 def test_commutator_of_sl2_preimage_mod3():
