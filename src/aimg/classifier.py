@@ -37,8 +37,8 @@ from .families import (
 )
 from .matgroup import (
     AbelianHom,
+    FiniteMatrixGroup,
     _prime_factors,
-    closure,
     group_size_cap,
     intermediate_subgroups,
     is_conjugate_subgroup,
@@ -231,15 +231,15 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     if a == 1:
         return minimal_level(entry.group)
     N = entry.group.level
-    Gimg = entry.group.with_minus_i().mod_level_group()
-    Gsl = intersect_sl2(entry.group.with_minus_i())
+    G = entry.group.with_minus_i()
+    gens = G.mod_level_group().generator_tuples
     candidates = []
-    for K in intermediate_subgroups(Gsl, full_sl2(N), a):
-        gens = list(Gimg.generators) + list(K.generators)
-        Gp = closure(gens)
-        if sl_count(OpenSubgroup.from_group(Gp), N) != K.order:
+    for K in intermediate_subgroups(intersect_sl2(G), full_sl2(N), a):
+        Gp = OpenSubgroup.from_group(
+            FiniteMatrixGroup(N, gens + K.generator_tuples))
+        if sl_count(Gp, N) != K.order:
             continue
-        cand = minimal_level(OpenSubgroup.from_group(Gp))
+        cand = minimal_level(Gp)
         gd = genus(cand)
         if gd.genus != 0:
             continue

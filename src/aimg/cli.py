@@ -60,6 +60,12 @@ def _catalog_from(args):
     return _default_catalog()
 
 
+def _print_json(obj, fh=None):
+    """Write obj as indented JSON and a newline, to stdout by default."""
+    json.dump(obj, fh or sys.stdout, indent=2)
+    print(file=fh)
+
+
 def _parse_v(text) -> Fraction:
     try:
         return Fraction(text)
@@ -72,11 +78,9 @@ def _cmd_classify(args):
     payload = report.to_json_dict()
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _print_json(payload, fh)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _print_json(payload)
     for e in report.entries:
         line = f"{e.label}: {e.bucket or 'error'}"
         if e.commutator_index is not None:
@@ -95,16 +99,14 @@ def _cmd_check_curve(args):
     if result.kind == "Member":
         out["witnesses"] = [
             "oo" if w is INFINITY else str(w) for w in result.witnesses]
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    _print_json(out)
     return 0
 
 
 def _cmd_genus(args):
     g = genus(_load_group(args.group))
-    json.dump({"genus": g.genus, "degree": g.degree, "e2": g.e2,
-               "e3": g.e3, "e_inf": g.e_inf}, sys.stdout, indent=2)
-    print()
+    _print_json({"genus": g.genus, "degree": g.degree, "e2": g.e2,
+                 "e3": g.e3, "e_inf": g.e_inf})
     return 0
 
 
@@ -113,13 +115,12 @@ def _cmd_commutator(args):
     if args.transpose:
         G = transpose_group(G)
     res = commutator_open(G)
-    json.dump({
+    _print_json({
         "index_in_sl2": res.index_in_sl,
         "saturation_level": res.saturation_level,
         "det_full": res.det_full,
         "commutator": res.commutator.to_json_dict(),
-    }, sys.stdout, indent=2)
-    print()
+    })
     return 0
 
 
@@ -153,8 +154,7 @@ def _cmd_surjectivity(args):
     out = {"verdict": verdict.kind}
     if verdict.factor is not None:
         out["factor"] = str(verdict.factor)
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    _print_json(out)
     return 0
 
 
@@ -171,13 +171,12 @@ def _cmd_condition(args):
         print(f"{args.label}: no conditions recorded", file=sys.stderr)
         return 1
     result = eval_condition(cond, v, entry.J)
-    json.dump({
+    _print_json({
         "label": args.label,
         "v": str(v),
         "holds": result.ok,
         "trace": trace_rows(result),
-    }, sys.stdout, indent=2)
-    print()
+    })
     return 0
 
 

@@ -54,24 +54,8 @@ __all__ = [
 ]
 
 
-class _NotApplicable:
-    """Sentinel: the prime-escape shortcut's hypothesis does not hold."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotApplicable"
-
-    def __bool__(self):
-        return False
-
-
-NOT_APPLICABLE = _NotApplicable()
+# commutator_shortcut's answer when its hypothesis does not hold
+NOT_APPLICABLE = None
 
 
 @dataclass
@@ -107,8 +91,7 @@ class FamilySpec:
 
     def psi_log(self, elem_tuple, modulus):
         """Exponent vector in A of det(g) mod M."""
-        d = tdet(elem_tuple, modulus) % self.modulus
-        return self.a_group.log(d if self.modulus > 1 else 1 % self.modulus)
+        return self.a_group.log(tdet(elem_tuple, modulus) % self.modulus)
 
     @property
     def member_level(self) -> int:
@@ -124,20 +107,18 @@ class FamilySpec:
 
 @dataclass
 class FamilyMember:
-    """H_phi, presented at the member level Lm (``group``), not at its
-    least level."""
+    """H_phi, presented at the member level Lm (``group``, whose
+    mod_level_group() has its order recorded), not at its least level."""
 
     family: FamilySpec
     phi: AbelianHom
     group: OpenSubgroup
     index_in_g0: int
-    # H_phi at the member level, with its order recorded
-    kernel: FiniteMatrixGroup = field(repr=False)
 
     @property
     def _eset(self) -> frozenset:
         """The member-level element set, for duplicate detection."""
-        return self.kernel.element_set
+        return self.group.mod_level_group().element_set
 
     @cached_property
     def dissolve_eligible(self) -> bool:
@@ -184,10 +165,9 @@ def build_member(spec: FamilySpec, phi: AbelianHom) -> FamilyMember:
     trans, schreier = _schreier(gens, Lm, Q.identity,
                                 lambda q, g: Q.add(q, value[g]))
     kernel = FiniteMatrixGroup(Lm, schreier, big.order // len(trans))
-    return FamilyMember(
-        family=spec, phi=phi,
-        group=OpenSubgroup.from_group(kernel),
-        index_in_g0=len(trans), kernel=kernel)
+    return FamilyMember(family=spec, phi=phi,
+                        group=OpenSubgroup.from_group(kernel),
+                        index_in_g0=len(trans))
 
 
 @dataclass
@@ -220,7 +200,7 @@ def check_dissolve(member: FamilyMember) -> bool:
         raise NotEligible("member is not dissolve-eligible")
     spec = member.family
     Lm = spec.member_level
-    return (derived_subgroup(member.kernel).order
+    return (derived_subgroup(member.group.mod_level_group()).order
             == derived_subgroup(spec.g0.finite_image(Lm)).order)
 
 
@@ -246,10 +226,14 @@ def commutator_shortcut(spec: FamilySpec, member: FamilyMember, Mv: int):
     non-surjective phi the member only projects onto the eta-preimage of
     im(phi), and its commutator can be strictly smaller than [G0, G0].
 
-    Returns a CommutatorResult, or NOT_APPLICABLE when the hypothesis
-    fails (caller falls back to commutator_open on the member group).
-    The returned index is relative to G0's SL2-part; callers comparing
-    with a direct member computation must rescale by
+    G0' is the kernel of G0 -> Q/im(phi), Q = G0/H, built like a member:
+    Schreier generators over a transversal of the cosets of im(phi), each
+    labelled by its least element, and the order |G0| / #cosets.
+
+    Returns a CommutatorResult, or NOT_APPLICABLE (None) when the
+    hypothesis fails (caller falls back to commutator_open on the member
+    group).  The returned index is relative to G0's SL2-part; callers
+    comparing with a direct member computation must rescale by
     [G0' ∩ SL2 : member ∩ SL2].
     """
     if Mv <= 1 or math.gcd(Mv, spec.least_base_level) != 1:
@@ -258,7 +242,11 @@ def commutator_shortcut(spec: FamilySpec, member: FamilyMember, Mv: int):
     image = {member.phi(v) for v in spec.a_group.elements()}
     if len(image) == Q.order:
         return commutator_open(spec.g0)
-    elems = [g for g in spec._g0_base.elements if spec.eta(g) in image]
-    g0p = OpenSubgroup.from_group(
-        FiniteMatrixGroup.from_elements(elems, spec.base_level))
-    return commutator_open(g0p)
+    base = spec._g0_base
+    value = {g: spec.eta(g) for g in base.generator_tuples}
+    trans, schreier = _schreier(
+        base.generator_tuples, spec.base_level, Q.identity,
+        lambda q, g: min(Q.add(Q.add(q, value[g]), i) for i in image))
+    g0p = FiniteMatrixGroup(spec.base_level, schreier,
+                            base.order // len(trans))
+    return commutator_open(OpenSubgroup.from_group(g0p))

@@ -900,11 +900,6 @@ def enumerate_homs(A: FiniteAbelianGroup, Q: FiniteAbelianGroup):
 # base-group recovery search)
 
 
-def _conjugate_set(elems, g, n):
-    gi = tinv(g, n)
-    return frozenset(tmul(tmul(g, x, n), gi, n) for x in elems)
-
-
 def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
     """All subgroups of G up to conjugacy in G, as element frozensets.
 
@@ -924,31 +919,31 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
             cyc_gens.setdefault(c, x)
     cyclic = sorted(cyc_gens, key=lambda s: (len(s), sorted(s)))
 
-    def canonical(elems):
-        """Least conjugate (by sorted element tuple) of a subgroup set.
+    def canonical(span, gens):
+        """Least conjugate (by sorted element tuple) of the subgroup set
+        ``span``, and its generators ``gens`` conjugated onto it.
 
         Conjugation by g and by g*h (h in the subgroup) agree, so only
         one representative per left coset of the subgroup is tried.
         """
-        best = tuple(sorted(elems))
-        span = frozenset(elems)
+        best = tuple(sorted(span))
         covered = set()
         for g in gelems:
             if g in covered:
                 continue
             covered.update(tmul(g, h, n) for h in span)
-            c = tuple(sorted(_conjugate_set(elems, g, n)))
+            gi = tinv(g, n)
+            c = tuple(sorted(tmul(tmul(g, x, n), gi, n) for x in span))
             if c < best:
-                best = c
-        return best
+                best, gens = c, [tmul(tmul(g, x, n), gi, n) for x in gens]
+        return best, gens
 
     found = {}       # canonical key -> (element set, small generating list)
     seen_spans = set()   # raw spans already canonicalized
     queue = deque()
     for c in cyclic:
-        key = canonical(c)
+        key, gens = canonical(c, [cyc_gens[c]] if len(c) > 1 else [])
         if key not in found:
-            gens = _regenerate(key, n) if len(c) > 1 else []
             found[key] = (frozenset(key), gens)
             queue.append((frozenset(key), gens))
         seen_spans.add(c)
@@ -958,18 +953,17 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
             if c <= h:
                 continue
             try:
-                fspan = frozenset(
-                    _Closure(n, hgens + [cyc_gens[c]], half).seen)
+                clo = _Closure(n, hgens + [cyc_gens[c]], half)
             except ResourceExceeded:
                 continue  # over half of G is all of G, added at the end
+            fspan = frozenset(clo.seen)
             if fspan in seen_spans:
                 continue
             seen_spans.add(fspan)
-            key = canonical(fspan)
+            # the generators are moved onto the canonical conjugate, so
+            # that later joins extend the keyed set itself
+            key, kgens = canonical(fspan, clo.gens)
             if key not in found:
-                # re-generate on the canonical conjugate for correctness
-                # of downstream joins (gens must generate the keyed set)
-                kgens = _regenerate(key, n)
                 found[key] = (frozenset(key), kgens)
                 queue.append((frozenset(key), kgens))
     found[tuple(sorted(gelems))] = (frozenset(gelems), [])
@@ -977,25 +971,15 @@ def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
                   key=lambda s: (len(s), sorted(s)))
 
 
-def _regenerate(elems, n):
-    """A small generating list for the subgroup given by element set:
-    elements of large cyclic order first, each kept only if it enlarges
-    the span."""
-    clo = _Closure(n)
-    for x in sorted(elems, key=lambda t: -len(_Closure(n, [t]).seen)):
-        clo.add_gen(x)
-        if len(clo.seen) == len(elems):
-            break
-    return clo.gens
-
-
 def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
                            index_over_h: int):
     """Subgroups S with H <= S <= G and [S : H] = index_over_h.
 
     Exhaustive: extends H by elements of G and keeps the closures of the
-    right order.  Returns the closed FiniteMatrixGroup values, sorted and
-    deduplicated by element set, not by conjugacy.
+    right order.  <S, x> = <S, xh> for h in S, so each span S is extended
+    by one x per left coset xS, the least.  Returns the closed
+    FiniteMatrixGroup values, sorted and deduplicated by element set, not
+    by conjugacy.
     """
     if not H <= G:
         raise NotASubgroup("H is not a subgroup of G")
@@ -1011,7 +995,11 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
     while frontier:
         new_frontier = {}
         for span, gens in frontier.items():
+            covered = set()
             for x in sorted(G.element_set - span):
+                if x in covered:
+                    continue
+                covered.update(tmul(x, h, n) for h in span)
                 clo = _Closure(n, gens + [x])
                 bigger = clo.seen
                 if len(bigger) > target or target % len(bigger) != 0:

@@ -47,6 +47,22 @@ def tinv(x, n):
     return ((d * di) % n, (-b * di) % n, (-c * di) % n, (a * di) % n)
 
 
+def tcrt(x, m1, y, m2):
+    """Entrywise CRT lift of the tuple x mod m1 and the tuple y mod m2 to
+    lcm(m1, m2).  The tuples must agree mod gcd(m1, m2)."""
+    g = math.gcd(m1, m2)
+    lcm = m1 // g * m2
+    inv = pow(m1 // g, -1, m2 // g)
+    out = []
+    for e1, e2 in zip(x, y):
+        if (e1 - e2) % g != 0:
+            raise IncompatibleResidues(
+                f"residues {e1} mod {m1} and {e2} mod {m2} conflict mod {g}")
+        # e = e1 + m1 * t with e ≡ e2 mod m2
+        out.append((e1 + m1 * ((e2 - e1) // g * inv % (m2 // g))) % lcm)
+    return tuple(out)
+
+
 TID = (1, 0, 0, 1)
 
 
@@ -114,22 +130,11 @@ class ResidueMatrix:
 
 
 def crt_combine(x: ResidueMatrix, y: ResidueMatrix) -> ResidueMatrix:
-    """Entrywise CRT lift of x mod m1 and y mod m2 to lcm(m1, m2).
-
-    The inputs must agree after reduction mod gcd(m1, m2).
-    """
-    m1, m2 = x.modulus, y.modulus
-    g = math.gcd(m1, m2)
-    lcm = m1 // g * m2
-    entries = []
-    for e1, e2 in zip(x.entries, y.entries):
-        if (e1 - e2) % g != 0:
-            raise IncompatibleResidues(
-                f"residues {e1} mod {m1} and {e2} mod {m2} conflict mod {g}")
-        # e = e1 + m1 * t with e ≡ e2 mod m2
-        t = ((e2 - e1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-        entries.append((e1 + m1 * t) % lcm)
-    return ResidueMatrix(lcm, *entries)
+    """Entrywise CRT lift of x mod m1 and y mod m2 to lcm(m1, m2), by
+    tcrt; the inputs must agree after reduction mod gcd(m1, m2)."""
+    return ResidueMatrix.from_tuple(
+        tcrt(x.entries, x.modulus, y.entries, y.modulus),
+        math.lcm(x.modulus, y.modulus))
 
 
 _MATRIX_RE = re.compile(

@@ -22,11 +22,12 @@ from .matgroup import (
     sl2_order,
     _Closure,
     _closed,
+    _orbit,
     _prime_factors,
     _schreier,
     unit_group,
 )
-from .modmatrix import ResidueMatrix, crt_combine, tdet
+from .modmatrix import TID, ResidueMatrix, tcrt, tdet
 
 __all__ = [
     "OpenSubgroup",
@@ -68,12 +69,6 @@ def full_sl2(n: int) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(
         n, [ResidueMatrix(n, 1, 1, 0, 1), ResidueMatrix(n, 0, -1, 1, 0)],
         sl2_order(n))
-
-
-def _crt_with_identity(mat: ResidueMatrix, other_modulus: int) -> ResidueMatrix:
-    if other_modulus == 1:
-        return mat
-    return crt_combine(mat, ResidueMatrix.identity(other_modulus))
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,8 @@ class OpenSubgroup:
         fac = _prime_factors(L)
         A = math.prod(p ** e for p, e in fac.items() if m % p == 0)
         B = L // A
-        gens = []
-        for t in self.mod_level_group().generator_tuples:
-            gens.append(_crt_with_identity(ResidueMatrix(A, *t), B))
+        gens = [tcrt(t, A, TID, B)
+                for t in self.mod_level_group().generator_tuples]
         if A > m:
             # kernel of GL2(Z/A) -> GL2(Z/m)
             steps = [m]
@@ -155,11 +149,10 @@ class OpenSubgroup:
             for s in steps:
                 for (a, b, c, d) in ((1, 0, 0, 0), (0, 1, 0, 0),
                                      (0, 0, 1, 0), (0, 0, 0, 1)):
-                    k = ResidueMatrix(A, 1 + s * a, s * b, s * c, 1 + s * d)
-                    gens.append(_crt_with_identity(k, B))
-        if B > 1:
-            for g in gl2_generator_matrices(B):
-                gens.append(crt_combine(ResidueMatrix.identity(A), g))
+                    k = (1 + s * a, s * b, s * c, 1 + s * d)
+                    gens.append(tcrt(k, A, TID, B))
+        gens += [tcrt(TID, A, g.entries, B)
+                 for g in gl2_generator_matrices(B)]
         return FiniteMatrixGroup(
             L, gens,
             self.mod_level_group().order * gl2_order(L) // gl2_order(m))
@@ -206,20 +199,14 @@ class OpenSubgroup:
         return cls(level, tuple(gens))
 
 
-def _det_schreier(G: OpenSubgroup):
-    """det on G(m), m the level: the transversal u -> t_u over det G(m)
-    (t_u a word in the generators of determinant u) and the Schreier
-    generators t_u g t_{u det g}^-1 of G(m) ∩ SL2."""
-    n = G.level
-    return _schreier(G.mod_level_group().generator_tuples, n, 1 % n,
-                     lambda u, g: u * tdet(g, n) % n)
-
-
 def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
-    """Mod-level image of G ∩ SL2(Zhat), the kernel of det on G(m),
-    closed from the Schreier generators over the determinant transversal,
-    so G(m) itself is never enumerated."""
-    return _closed(_Closure(G.level, _det_schreier(G)[1]))
+    """Mod-level image of G ∩ SL2(Zhat), the kernel of det on G(m): closed
+    from the Schreier generators t_u g t_{u det g}^-1 over a transversal
+    u -> t_u of det G(m), so G(m) itself is never enumerated."""
+    n = G.level
+    _, schreier = _schreier(G.mod_level_group().generator_tuples, n, 1 % n,
+                            lambda u, g: u * tdet(g, n) % n)
+    return _closed(_Closure(n, schreier))
 
 
 @dataclass(frozen=True)
@@ -234,9 +221,11 @@ class DetImage:
 
 
 def _det_values(G: OpenSubgroup) -> frozenset:
-    """det G(m) for m the level: the keys of the determinant
-    transversal."""
-    return frozenset(_det_schreier(G)[0])
+    """det G(m) for m the level: the orbit of 1 under multiplication by
+    the generators' determinants, the subgroup of (Z/m)^x they generate."""
+    n = G.level
+    dets = {tdet(g, n) for g in G.mod_level_group().generator_tuples}
+    return frozenset(_orbit(1 % n, [lambda u, d=d: u * d % n for d in dets]))
 
 
 def det_image(G: OpenSubgroup) -> DetImage:
@@ -371,8 +360,9 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     T = math.lcm(m, 6, lvl)
     if lvl == 1:
         return CommutatorResult(OpenSubgroup.full(), index, T, full_det)
-    gens = [_crt_with_identity(ResidueMatrix.from_tuple(t, img.modulus),
-                               lvl // img.modulus)
-            for img in imgs for t in img.generator_tuples]
-    comm = OpenSubgroup(lvl, tuple(gens) or (ResidueMatrix.identity(lvl),))
+    gens = tuple(
+        ResidueMatrix.from_tuple(tcrt(t, img.modulus, TID, lvl // img.modulus),
+                                 lvl)
+        for img in imgs for t in img.generator_tuples)
+    comm = OpenSubgroup(lvl, gens or (ResidueMatrix.identity(lvl),))
     return CommutatorResult(comm, index, T, full_det)

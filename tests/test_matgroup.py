@@ -19,6 +19,7 @@ from aimg.matgroup import (
     closure,
     derived_subgroup,
     enumerate_homs,
+    intermediate_subgroups,
     is_conjugate_subgroup,
     normal_closure,
     quotient_group,
@@ -303,6 +304,26 @@ def test_subgroups_of_gl2f3_match_brute_force():
     got = all_subgroups_up_to_conjugacy(G)
     assert len(got) == len(classes)
     assert {conj_class(s) for s in got} == classes
+
+
+def test_intermediate_subgroups_match_single_extensions():
+    # for a prime index a, a subgroup S with [S : H] = a is <H, x> for any
+    # x in S - H, so the oracle closes H with one element at a time
+    for N in (4, 6, 8, 9):
+        rng = random.Random(N)
+        elems = oracle_helpers.sl2_elements(N)
+        for _ in range(4):
+            hgens = [rng.choice(elems)]
+            size = len(oracle_helpers.bfs_closure(hgens, N))
+            H = FiniteMatrixGroup(N, hgens)
+            for a in (2, 3):
+                spans = (oracle_helpers.bfs_closure(hgens + [x], N)
+                         for x in elems)
+                want = {frozenset(s) for s in spans if len(s) == a * size}
+                got = [K.element_set
+                       for K in intermediate_subgroups(H, full_sl2(N), a)]
+                assert len(set(got)) == len(got)
+                assert set(got) == want
 
 
 def test_is_conjugate_subgroup():
