@@ -26,10 +26,13 @@ from .errors import (
     UnsupportedShape,
     ZeroInput,
     is_json_int,
+    json_ints,
+    json_list,
+    json_rational,
 )
 from .matgroup import _divisors, _prime_factors
 from .ratfunc import INFINITY, RationalMap, _pdivmod, _peval, _rational_roots, \
-    evaluate
+    _trim, evaluate
 
 __all__ = [
     "squarefree_part",
@@ -314,33 +317,12 @@ _LEAF_KINDS = {
 }
 
 
-def _check_poly(x, where):
-    if not (isinstance(x, list) and x
-            and all(is_json_int(c) for c in x)):
-        raise SchemaError(f"{where}: expected a nonempty integer "
-                          f"coefficient list, got {x!r}")
-    return [int(c) for c in x]
-
-
-def _parse_rational(x, where):
-    if is_json_int(x):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SchemaError(f"{where}: expected an integer or 'num/den' string, "
-                      f"got {x!r}")
-
-
 def parse_vcondition(data) -> VCondition:
     """Parse the `{"all": [{"kind": ...}, ...]}` schema."""
-    if not isinstance(data, dict) or "all" not in data \
-            or not isinstance(data["all"], list):
+    if not isinstance(data, dict) or "all" not in data:
         raise SchemaError("condition JSON must be {'all': [...]}")
     leaves = []
-    for i, item in enumerate(data["all"]):
+    for i, item in enumerate(json_list(data["all"], "condition 'all'")):
         where = f"condition leaf {i}"
         if not isinstance(item, dict) or "kind" not in item:
             raise SchemaError(f"{where}: missing 'kind'")
@@ -358,22 +340,20 @@ def parse_vcondition(data) -> VCondition:
                 raise SchemaError(f"{where}: missing {key!r}")
             val = item[key]
             if key in ("poly", "p_poly", "q_poly"):
-                params[key] = tuple(_check_poly(val, where))
+                params[key] = json_ints(val, where)
             elif key == "M":
                 if not is_json_int(val) or val < 1:
                     raise SchemaError(f"{where}: bad modulus {val!r}")
                 params[key] = val
             elif key == "values":
-                if not isinstance(val, list):
-                    raise SchemaError(f"{where}: values must be a list")
-                params[key] = tuple(_parse_rational(x, where) for x in val)
+                params[key] = tuple(json_rational(x, where)
+                                    for x in json_list(val, where))
             elif key == "coeff_polys":
-                if not (isinstance(val, list) and len(val) == 4):
+                if len(json_list(val, where)) != 4:
                     raise SchemaError(
                         f"{where}: coeff_polys must list 4 polynomials "
                         f"(x^3 down to constant)")
-                params[key] = tuple(
-                    tuple(_check_poly(p, where)) for p in val)
+                params[key] = tuple(json_ints(p, where) for p in val)
         leaves.append(Leaf(kind, params))
     return VCondition(tuple(leaves))
 
@@ -385,13 +365,9 @@ class ConditionResult:
 
 
 def _cubic_irreducible(coeffs) -> bool:
-    """Irreducibility over Q of a cubic given by ascending Fraction
+    """Irreducibility over Q of a cubic given by ascending rational
     coefficients; for degree 3 this is the absence of a rational root."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    return len(ints) == 4 and not _rational_roots(ints)
+    return len(_trim(coeffs)) == 4 and not _rational_roots(coeffs)
 
 
 def _eval_leaf(leaf: Leaf, v: Fraction):

@@ -11,15 +11,14 @@ is excluded.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arithcond import ConditionResult, VCondition, _parse_rational, \
-    eval_condition, parse_vcondition
+from .arithcond import ConditionResult, VCondition, eval_condition, \
+    parse_vcondition
 from .errors import (
     AimgError,
     InvariantViolation,
@@ -28,6 +27,10 @@ from .errors import (
     SchemaError,
     UnknownLabel,
     is_json_int,
+    json_ints,
+    json_list,
+    json_rational,
+    read_json_file,
 )
 from .families import (
     NOT_APPLICABLE,
@@ -129,47 +132,44 @@ def _parse_entry(raw) -> CatalogEntry:
         J = solve_left_factor(pi, u)
     except AimgError as e:
         raise InvariantViolation(label, f"J-recovery failed: {e}")
+    if pi.degree != gd.degree:
+        raise InvariantViolation(
+            label, f"deg pi is {pi.degree}, not the index {gd.degree}")
 
     orders = raw.get("automorphism_orders")
     if orders is not None:
-        if not (isinstance(orders, list) and orders
-                and all(is_json_int(o) and o >= 1 for o in orders)):
+        orders = json_ints(orders, f"{where} automorphism_orders")
+        if min(orders) < 1:
             raise SchemaError(f"{where}: bad automorphism_orders")
-        orders = tuple(orders)
     fam_idx = raw.get("family_index")
     if fam_idx is not None and not (is_json_int(fam_idx) and 0 < fam_idx < 7):
         raise SchemaError(f"{where}: family_index must be 1..6")
     alpha = raw.get("alpha")
     if alpha is not None:
-        alpha = _parse_rational(alpha, where)
+        alpha = json_rational(alpha, where)
     conds = raw.get("conditions")
     if conds is not None:
         conds = parse_vcondition(conds)
 
     members = []
-    for i, m in enumerate(raw.get("members", [])):
+    for i, m in enumerate(json_list(raw.get("members", []),
+                                    f"{where} members")):
         mwhere = f"{where} member {i}"
         if not isinstance(m, dict):
             raise SchemaError(f"{mwhere}: not an object")
         for key in ("v", "Mv", "phi"):
             if key not in m:
                 raise SchemaError(f"{mwhere}: missing {key!r}")
-        v = _parse_rational(m["v"], mwhere)
+        v = json_rational(m["v"], mwhere)
         Mv = m["Mv"]
         if not is_json_int(Mv) or Mv < 1:
             raise SchemaError(f"{mwhere}: bad Mv {Mv!r}")
-        phi = m["phi"]
-        if not (isinstance(phi, list)
-                and all(isinstance(row, list)
-                        and all(is_json_int(c) for c in row)
-                        for row in phi)):
-            raise SchemaError(f"{mwhere}: phi must be a list of integer "
-                              f"vectors")
+        phi = tuple(json_ints(row, f"{mwhere} phi")
+                    for row in json_list(m["phi"], f"{mwhere} phi"))
         mconds = m.get("conditions")
         if mconds is not None:
             mconds = parse_vcondition(mconds)
-        members.append(MemberData(
-            v, Mv, tuple(tuple(row) for row in phi), mconds))
+        members.append(MemberData(v, Mv, phi, mconds))
 
     return CatalogEntry(
         label=label, group=group, pi=pi, u=u, J=J,
@@ -180,27 +180,14 @@ def _parse_entry(raw) -> CatalogEntry:
 
 
 def load_catalog(source) -> list:
-    """Load and validate a catalog (path, JSON text, or parsed dict)."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = None
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            if isinstance(source, str):
-                text = source
-            else:
-                raise SchemaError(f"cannot read catalog from {source!r}")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"catalog is not valid JSON: {e}")
-    if not isinstance(data, dict) or "entries" not in data \
-            or not isinstance(data["entries"], list):
+    """Load and validate a catalog, from the path of a JSON file or the
+    parsed dict.  Each entry's invariants are checked here, once: genus 0,
+    J o u = pi, and deg pi = d, the index of the entry's curve."""
+    data = source if isinstance(source, dict) else read_json_file(source)
+    if not isinstance(data, dict) or "entries" not in data:
         raise SchemaError("catalog JSON must be {'entries': [...]}")
-    entries = [_parse_entry(raw) for raw in data["entries"]]
+    entries = [_parse_entry(raw)
+               for raw in json_list(data["entries"], "catalog 'entries'")]
     seen = set()
     for e in entries:
         if e.label in seen:
@@ -215,17 +202,18 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
     equivalent to the quotient by A.
 
     With the cover maps of candidate groups not computable from
-    generators alone, the map check is realized as: the candidate's
-    j-cover degree must equal deg J, and when several candidates survive
-    the degree and genus filters the candidate's map is resolved through
-    the catalog (an entry with the same group up to conjugacy) or the
-    level-1 j-line, and matched against J by Moebius equivalence.
+    generators alone, the map check is realized as: when several
+    candidates survive the genus filter, the candidate's map is resolved
+    through the catalog (an entry with the same group up to conjugacy) or
+    the level-1 j-line, and matched against J by Moebius equivalence.
 
     No candidate repeats: each K comes once, and a kept G' has
     G' ∩ SL2 = K (K lies in it, and sl_count, which counts G' ∩ SL2
-    without closing it, gives |K|).  Of several matches the one of least
-    level, then of least sorted element set at that level, is returned,
-    so the answer does not depend on how the entry's group is presented.
+    without closing it, gives |K|).  K holds -I, so G' has j-cover degree
+    [SL2 : K] = d/|A| = deg J, as load_catalog checked deg pi = d.
+    Of several matches the one of least level, then of least sorted
+    element set at that level, is returned, so the answer does not depend
+    on how the entry's group is presented.
     """
     a = entry.a_order
     if a == 1:
@@ -240,10 +228,7 @@ def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
         if sl_count(Gp, N) != K.order:
             continue
         cand = minimal_level(Gp)
-        gd = genus(cand)
-        if gd.genus != 0:
-            continue
-        if gd.degree != entry.J.degree:
+        if genus(cand).genus != 0:
             continue
         candidates.append(cand)
     if not candidates:

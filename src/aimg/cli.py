@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .arithcond import eval_condition
@@ -22,7 +21,8 @@ from .classifier import (
     load_catalog,
     trace_rows,
 )
-from .errors import AimgError, InvariantViolation, SchemaError, is_json_int
+from .errors import AimgError, InvariantViolation, SchemaError, is_json_int, \
+    json_list, json_rational, read_json_file
 from .matgroup import _prime_factors
 from .modgenus import genus
 from .opengroup import (
@@ -35,18 +35,8 @@ from .ratfunc import INFINITY
 from .surjectivity import TruncatedAdelicGroup, surjectivity_check
 
 
-def _load_json_file(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path} is not valid JSON: {e}")
-
-
 def _load_group(path) -> OpenSubgroup:
-    return OpenSubgroup.from_json_dict(_load_json_file(path))
+    return OpenSubgroup.from_json_dict(read_json_file(path))
 
 
 def _default_catalog():
@@ -64,13 +54,6 @@ def _print_json(obj, fh=None):
     """Write obj as indented JSON and a newline, to stdout by default."""
     json.dump(obj, fh or sys.stdout, indent=2)
     print(file=fh)
-
-
-def _parse_v(text) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"not a rational number: {text!r}")
 
 
 def _cmd_classify(args):
@@ -93,7 +76,7 @@ def _cmd_classify(args):
 
 def _cmd_check_curve(args):
     catalog = _catalog_from(args)
-    j = INFINITY if args.j == "oo" else _parse_v(args.j)
+    j = INFINITY if args.j == "oo" else json_rational(args.j, "--j")
     result = check_curve(args.label, j, catalog)
     out = {"label": args.label, "j": args.j, "result": result.kind}
     if result.kind == "Member":
@@ -125,17 +108,18 @@ def _cmd_commutator(args):
 
 
 def _load_truncation(path) -> TruncatedAdelicGroup:
-    data = _load_json_file(path)
+    data = read_json_file(path)
     if not isinstance(data, dict) or "m_part" not in data:
         raise SchemaError("truncation JSON needs an 'm_part' group")
     m_sub = OpenSubgroup.from_json_dict(data["m_part"])
     m_part = m_sub.mod_level_group()
     parts = []
-    for p in data.get("primes", []):
+    for p in json_list(data.get("primes", []), "truncation 'primes'"):
         if not is_json_int(p) or _prime_factors(p) != {p: 1}:
             raise SchemaError(f"bad prime {p!r}")
         parts.append(full_gl2(p))
-    for raw in data.get("prime_parts", []):
+    for raw in json_list(data.get("prime_parts", []),
+                         "truncation 'prime_parts'"):
         parts.append(OpenSubgroup.from_json_dict(raw).mod_level_group())
     try:
         return TruncatedAdelicGroup(m_part, tuple(parts))
@@ -145,8 +129,7 @@ def _load_truncation(path) -> TruncatedAdelicGroup:
 
 def _cmd_surjectivity(args):
     G = _load_truncation(args.group)
-    data = _load_json_file(args.subgroup)
-    sub = OpenSubgroup.from_json_dict(data)
+    sub = _load_group(args.subgroup)
     if sub.level != G.modulus:
         raise SchemaError(
             f"subgroup level {sub.level} != truncation modulus {G.modulus}")
@@ -160,7 +143,7 @@ def _cmd_surjectivity(args):
 
 def _cmd_condition(args):
     entry = find_entry(_catalog_from(args), args.label)
-    v = _parse_v(args.v)
+    v = json_rational(args.v, "--v")
     cond = entry.conditions
     if cond is None:
         for m in entry.members:

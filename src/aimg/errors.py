@@ -1,10 +1,56 @@
-"""Exception hierarchy shared across the package, and the integer test
-the JSON schema checks share."""
+"""Exception hierarchy shared across the package, and the JSON file reader
+and schema checks every loader shares; they raise SchemaError."""
+
+import json
+import os
+from fractions import Fraction
 
 
 def is_json_int(x) -> bool:
     """Whether a parsed JSON value is an integer (true and false are not)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def read_json_file(path):
+    """The parsed JSON in the file at ``path``, a str or os.PathLike."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise SchemaError(f"not a file path: {path!r}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e}")
+    except (ValueError, RecursionError) as e:  # bad JSON, not text, too deep
+        raise SchemaError(f"{path} is not valid JSON: {e}")
+
+
+def json_list(x, where) -> list:
+    """x, checked to be a list."""
+    if not isinstance(x, list):
+        raise SchemaError(f"{where}: expected a list, got {x!r}")
+    return x
+
+
+def json_ints(x, where, length=None) -> tuple:
+    """A nonempty list of integers, of ``length`` entries when given."""
+    if not (isinstance(x, list) and x and all(map(is_json_int, x))
+            and length in (None, len(x))):
+        raise SchemaError(f"{where}: expected a nonempty integer list, "
+                          f"got {x!r}")
+    return tuple(x)
+
+
+def json_rational(x, where) -> Fraction:
+    """An integer or a 'num/den' string."""
+    if is_json_int(x):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"{where}: expected an integer or 'num/den' string, "
+                      f"got {x!r}")
 
 
 class AimgError(Exception):

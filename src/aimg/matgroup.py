@@ -687,10 +687,6 @@ class FiniteAbelianGroup:
         return self._log[label]
 
     @classmethod
-    def trivial(cls):
-        return cls(())
-
-    @classmethod
     def from_invariants(cls, invariants):
         invs = tuple(d for d in invariants if d > 1)
         for a, b in zip(invs, invs[1:]):
@@ -977,7 +973,9 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
 
     Exhaustive: extends H by elements of G and keeps the closures of the
     right order.  <S, x> = <S, xh> for h in S, so each span S is extended
-    by one x per left coset xS, the least.  Returns the closed
+    by one x per left coset xS, the least.  No larger closure is kept, so
+    each is capped at the target order, a divisor of |G|, which G's own
+    closure kept under the global cap.  Returns the closed
     FiniteMatrixGroup values, sorted and deduplicated by element set, not
     by conjugacy.
     """
@@ -995,14 +993,15 @@ def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
     while frontier:
         new_frontier = {}
         for span, gens in frontier.items():
-            covered = set()
-            for x in sorted(G.element_set - span):
-                if x in covered:
+            reps, _ = _cosets(G.element_set - span, span,
+                              lambda x, h: tmul(x, h, n))
+            for x in reps:
+                try:
+                    clo = _Closure(n, gens + [x], target)
+                except ResourceExceeded:
                     continue
-                covered.update(tmul(x, h, n) for h in span)
-                clo = _Closure(n, gens + [x])
                 bigger = clo.seen
-                if len(bigger) > target or target % len(bigger) != 0:
+                if target % len(bigger) != 0:
                     continue
                 key = frozenset(bigger)
                 if len(bigger) == target:

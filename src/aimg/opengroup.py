@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import SchemaError, is_json_int
+from .errors import SchemaError, is_json_int, json_ints, json_list
 from .matgroup import (
     FiniteMatrixGroup,
     derived_subgroup,
@@ -188,11 +188,8 @@ class OpenSubgroup:
         if not is_json_int(level) or level < 1:
             raise SchemaError(f"bad level: {level!r}")
         gens = []
-        for row in data.get("gens", []):
-            if not (isinstance(row, list) and len(row) == 4
-                    and all(is_json_int(x) for x in row)):
-                raise SchemaError(f"bad generator row: {row!r}")
-            g = ResidueMatrix(level, *row)
+        for row in json_list(data.get("gens", []), "open subgroup gens"):
+            g = ResidueMatrix(level, *json_ints(row, "generator row", 4))
             if not g.is_invertible():
                 raise SchemaError(f"generator {row} not invertible mod {level}")
             gens.append(g)

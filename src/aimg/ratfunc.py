@@ -20,6 +20,8 @@ from .errors import (
     NoDecomposition,
     SchemaError,
     ZeroInput,
+    json_list,
+    json_rational,
 )
 from .matgroup import _divisors
 
@@ -209,15 +211,12 @@ class RationalMap:
                 or "den" not in data:
             raise SchemaError("rational map JSON needs 'num' and 'den'")
 
-        def ints(xs):
-            out = []
-            for x in xs:
-                if isinstance(x, bool) or not isinstance(x, (int, str)):
-                    raise SchemaError(f"bad coefficient: {x!r}")
-                out.append(int(x))
-            return out
+        def coeffs(key):
+            where = f"rational map {key!r}"
+            return [json_rational(c, where)
+                    for c in json_list(data[key], where)]
 
-        return cls.from_fractions(ints(data["num"]), ints(data["den"]))
+        return cls.from_fractions(coeffs("num"), coeffs("den"))
 
 
 IDENTITY_MAP = RationalMap((0, 1), (1,))
@@ -394,12 +393,12 @@ def moebius_equivalent(u: RationalMap, pi2: RationalMap):
 
 
 def _rational_roots(coeffs):
-    """Rational roots of an integer polynomial (ascending coeffs)."""
-    p = list(coeffs)
-    while p and p[-1] == 0:
-        p.pop()
+    """Rational roots of a polynomial with rational ascending coeffs."""
+    p = _trim(coeffs)
     if not p:
         raise ZeroInput("zero polynomial has every rational as a root")
+    den = math.lcm(*(c.denominator for c in p))
+    p = [int(c * den) for c in p]
     roots = set()
     k = 0
     while p[0] == 0:
@@ -439,8 +438,7 @@ def rational_fibers(f: RationalMap, j):
     j = Fraction(j)
     fiber_poly = _padd(f.fnum(), _pscale(f.fden(), -j))
     if fiber_poly:
-        denoms = math.lcm(*(c.denominator for c in fiber_poly))
-        out |= _rational_roots([int(c * denoms) for c in fiber_poly])
+        out |= _rational_roots(fiber_poly)
     if evaluate(f, INFINITY) == j:
         out.add(INFINITY)
     return out

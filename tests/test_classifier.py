@@ -92,6 +92,24 @@ def test_json_booleans_are_not_integers(field):
         load_catalog(raw)
 
 
+# each of these edits to the 2A-2A entry puts a malformed value where the
+# schema wants a list or a rational coefficient
+MALFORMED_EDITS = {
+    "group gens": lambda e: e["group"].update(gens=5),
+    "members": lambda e: e.update(members=5),
+    "pi num": lambda e: e["pi"].update(num=5),
+    "pi coefficient": lambda e: e["pi"].update(num=["x", 0, 1]),
+}
+
+
+@pytest.mark.parametrize("field", list(MALFORMED_EDITS))
+def test_malformed_json_is_a_schema_error(field):
+    raw = sample_raw()
+    MALFORMED_EDITS[field](raw["entries"][1])
+    with pytest.raises(SchemaError):
+        load_catalog(raw)
+
+
 def test_duplicate_label_is_violation():
     raw = sample_raw()
     raw["entries"].append(raw["entries"][0])
@@ -120,6 +138,18 @@ def test_j_recovery_violation_detected():
         "u": {"num": [0, 0, 1], "den": [1]},
     }
     with pytest.raises(InvariantViolation):
+        load_catalog(raw)
+
+
+@pytest.mark.parametrize("index, pi", [
+    (0, {"num": [0, 0, 1], "den": [1]}),  # 1A-1A: t^2, d = 1
+    (1, {"num": [1728, 0, 0, 0, 1], "den": [1]}),  # 2A-2A: t^4 + 1728, d = 2
+], ids=["1A-1A", "2A-2A"])
+def test_pi_degree_violation_detected(index, pi):
+    # J-recovery succeeds (J o u = pi), but deg pi is not the index d
+    raw = sample_raw()
+    raw["entries"][index]["pi"] = pi
+    with pytest.raises(InvariantViolation, match="deg pi"):
         load_catalog(raw)
 
 

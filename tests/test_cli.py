@@ -87,6 +87,21 @@ def test_genus_bad_file(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["genus", "--group", "gens5.json"], "expected a list"),
+    (["genus", "--group", "deep.json"], "not valid JSON"),
+    (["classify", "--catalog", "missing.json"], "cannot read"),
+], ids=["gens-not-a-list", "nested-too-deep", "missing-catalog"])
+def test_bad_input_files_are_schema_errors(capsys, tmp_path, argv, why):
+    write_json(tmp_path, "gens5.json", {"level": 5, "gens": 5})
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: SchemaError" in err and why in err
+    assert "Traceback" not in err
+
+
 def test_commutator_full_group(capsys, tmp_path):
     full = write_json(tmp_path, "full.json", {"level": 1, "gens": []})
     code, out, _ = run(capsys, "commutator", "--group", full)
@@ -145,7 +160,9 @@ BOREL4_JSON = {"level": 4, "gens": [[1, 1, 0, 1], [3, 0, 0, 1], [1, 0, 0, 3]]}
 @pytest.mark.parametrize("factors", [
     {"primes": [6]}, {"primes": [2]}, {"primes": [5, 5]},
     {"prime_parts": [{"level": 2, "gens": [[1, 1, 0, 1]]}]},
-], ids=["not-prime", "prime-of-m-part", "repeated", "part-at-m-part-prime"])
+    {"primes": 5}, {"prime_parts": 5},
+], ids=["not-prime", "prime-of-m-part", "repeated", "part-at-m-part-prime",
+        "primes-not-a-list", "prime-parts-not-a-list"])
 def test_surjectivity_bad_factors_are_schema_errors(capsys, tmp_path,
                                                     factors):
     trunc = write_json(tmp_path, "trunc.json",

@@ -308,7 +308,11 @@ def test_subgroups_of_gl2f3_match_brute_force():
 
 def test_intermediate_subgroups_match_single_extensions():
     # for a prime index a, a subgroup S with [S : H] = a is <H, x> for any
-    # x in S - H, so the oracle closes H with one element at a time
+    # x in S - H, so the oracle closes H with one element at a time.  An
+    # S of index 4 is <H, x, y> for x in S - H and y in S - <H, x>, so
+    # there the oracle closes H with two, x taken once per span <H, x> of
+    # index 2 or 4 (y = 1 covers the second); the search reaches these S
+    # through its frontier of index-2 spans.
     for N in (4, 6, 8, 9):
         rng = random.Random(N)
         elems = oracle_helpers.sl2_elements(N)
@@ -316,10 +320,17 @@ def test_intermediate_subgroups_match_single_extensions():
             hgens = [rng.choice(elems)]
             size = len(oracle_helpers.bfs_closure(hgens, N))
             H = FiniteMatrixGroup(N, hgens)
-            for a in (2, 3):
-                spans = (oracle_helpers.bfs_closure(hgens + [x], N)
-                         for x in elems)
-                want = {frozenset(s) for s in spans if len(s) == a * size}
+            spans = {frozenset(oracle_helpers.bfs_closure(hgens + [x], N)): x
+                     for x in elems}
+            for a in (2, 3, 4) if N in (4, 6) else (2, 3):
+                if a == 4:
+                    xs = [x for s, x in spans.items()
+                          if len(s) in (2 * size, 4 * size)]
+                    want = {frozenset(oracle_helpers.bfs_closure(
+                        hgens + [x, y], N)) for x in xs for y in elems}
+                else:
+                    want = set(spans)
+                want = {s for s in want if len(s) == a * size}
                 got = [K.element_set
                        for K in intermediate_subgroups(H, full_sl2(N), a)]
                 assert len(set(got)) == len(got)

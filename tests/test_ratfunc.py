@@ -276,3 +276,6 @@ def test_json_roundtrip():
     f = RationalMap.from_coeffs((1728, 0, 1), (2, 1))
     d = f.to_json_dict()
     assert RationalMap.from_json_dict(d) == f
+    # a 'num/den' string coefficient loads as its value
+    d["num"][0] = "3456/2"
+    assert RationalMap.from_json_dict(d) == f
