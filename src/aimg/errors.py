@@ -3,6 +3,7 @@ and schema checks every loader shares; they raise SchemaError."""
 
 import json
 import os
+import re
 from fractions import Fraction
 
 
@@ -40,15 +41,17 @@ def json_ints(x, where, length=None) -> tuple:
     return tuple(x)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def json_rational(x, where) -> Fraction:
-    """An integer or a 'num/den' string."""
+    """An integer, or a string of decimal digits with an optional sign and
+    an optional '/den', den nonzero: no spaces, underscores, decimal points
+    or exponents."""
     if is_json_int(x):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
     raise SchemaError(f"{where}: expected an integer or 'num/den' string, "
                       f"got {x!r}")
 

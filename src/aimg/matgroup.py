@@ -12,11 +12,12 @@ orbit size; hitting it raises ResourceExceeded rather than truncating
 silently.
 
 Orders, normal closures and derived subgroups are closed by BFS only mod
-rad(n).  Above it they are counted through the congruence layers: the
-kernel of GL2(Z/dp) -> GL2(Z/d) is M2(F_p) for p | d, so the part in the
-kernel mod rad(n) is an F_p-linear induced sequence, and the group comes
-back with its order recorded and unmaterialized.  Membership and element
-sets still close the group.
+rad(n).  Above it they are counted through the congruence layers, one
+prime p^e || n at a time: the kernel of GL2(Z/p^(a+1)) -> GL2(Z/p^a) is
+M2(F_p) for a >= 1, so the part in the kernel mod rad(n) is a product of
+F_p-linear induced sequences, each counted only until it fills its
+ceiling, and the group comes back with its order recorded and
+unmaterialized.  Membership and element sets still close the group.
 
 A group's state is set in this module only: a caller that knows an order
 from a formula passes it to the constructor, and _closed wraps a finished
@@ -41,7 +42,7 @@ from .errors import (
     NotNormal,
     ResourceExceeded,
 )
-from .modmatrix import TID, ResidueMatrix, tdet, tinv, tmul
+from .modmatrix import TID, ResidueMatrix, tcrt, tdet, tinv, tmul
 
 __all__ = [
     "FiniteMatrixGroup",
@@ -315,8 +316,11 @@ def _schreier(gens, n, start, act):
     Returns (trans, schreier).  ``trans`` maps each q in start * im v to a
     word t_q in the generators with start * v(t_q) = q, found by a BFS from
     ``start`` (t_start is the identity), so [<gens> : ker v] = len(trans).
-    ``schreier`` lists the distinct non-identity Schreier generators
-    t_q g t_{act(q, g)}^-1, which generate ker v.
+    ``schreier`` is an iterator over the distinct non-identity Schreier
+    generators t_q g t_{act(q, g)}^-1, which generate ker v, q in the order
+    of ``trans`` and g in the order of ``gens``.  They are formed as they
+    are read, each inverse t^-1 when it is first needed, so a caller that
+    stops early forms no more of them than it read.
     """
     ident = _reduced(TID, n)
     trans = {start: ident}
@@ -328,11 +332,21 @@ def _schreier(gens, n, start, act):
             if r not in trans:
                 trans[r] = tmul(trans[q], g, n)
                 queue.append(r)
-    inverse = {q: tinv(t, n) for q, t in trans.items()}
-    schreier = dict.fromkeys(tmul(tmul(t, g, n), inverse[act(q, g)], n)
-                             for q, t in trans.items() for g in gens)
-    schreier.pop(ident, None)
-    return trans, list(schreier)
+
+    def schreier():
+        inverse = {}
+        seen = {ident}
+        for q, t in trans.items():
+            for g in gens:
+                r = act(q, g)
+                if r not in inverse:
+                    inverse[r] = tinv(trans[r], n)
+                s = tmul(tmul(t, g, n), inverse[r], n)
+                if s not in seen:
+                    seen.add(s)
+                    yield s
+
+    return trans, schreier()
 
 
 def _cosets(elements, sub, mul):
@@ -483,42 +497,66 @@ def closure(generators) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(n, gens)
 
 
-def _layer_sequence(n, r, conj, items):
-    """Generators and order of the smallest subgroup T of K(r) that
+def _layer_sequence(p, e, rank, conj, items):
+    """Generators and order of the smallest subgroup T of K(p) that
     contains ``items`` and is normalized by the conjugations ``conj``
-    ((g, g^-1) pairs mod n), with K(d) the kernel of GL2(Z/n) -> GL2(Z/d)
-    and r = rad(n).
+    ((g, g^-1) pairs mod q = p^e, e >= 2), with K(d) the kernel of
+    GL2(Z/q) -> GL2(Z/d), given that T lies in C ∩ K(p) for a ceiling
+    group C whose layers have dimension ``rank``: 3 for C = SL2, 4 for
+    C = GL2.  The kernel of reduction mod rad(n) in GL2(Z/n) is the
+    direct product of these K(p), one for each p^e || n, so normal_closure
+    counts its part there as one such T per prime.
 
-    K(r) is cut by the chain r = d_0 | d_1 | ... | n, each step d -> dp
-    by a prime p.  K(d)/K(dp) is elementary abelian, I + dX -> X mod p
-    maps it onto M2(F_p), and it is central in K(r)/K(dp).  T is kept as
-    an induced sequence (Holt-Eick-O'Brien, Handbook of CGT, ch. 8): per
-    layer, elements whose coordinates are semi-echelon, each row 1 at its
-    pivot and 0 at the pivots of the rows before it.  An element is
+    K(p) is cut by the chain p | p^2 | ... | q.  K(p^a)/K(p^(a+1)) is
+    elementary abelian, I + p^a X -> X mod p maps it onto M2(F_p), and it
+    is central in K(p)/K(p^(a+1)).  det(I + p^a X) = 1 + p^a tr X mod
+    p^(a+1), so the layer of SL2 is sl2(F_p), of dimension 3.  T is kept
+    as an induced sequence (Holt-Eick-O'Brien, Handbook of CGT, ch. 8):
+    per layer, elements whose coordinates are semi-echelon, each row 1 at
+    its pivot and 0 at the pivots of the rows before it.  An element is
     sifted by clearing the pivot coordinates, row by row and layer by
     layer; whatever survives is inserted, and its p-th power, its
     commutators with the sequence and its conjugates are sifted in turn.
-    Once nothing is left to sift, T is the set of ordered products of
-    powers of the sequence, so |T| = prod p^(rows in each layer).
+    ``items`` is read only when nothing else is left to sift.  Once
+    nothing is, T is the set of ordered products of powers of the
+    sequence, so |T| = prod p^(rows in each layer).
+
+    The count stops as soon as every layer holds ``rank`` rows: the
+    ordered products are then |C ∩ K(p)| distinct elements of T, so T is
+    all of C ∩ K(p), and the rows generate it.
+
+    Lemma (saturation): for p odd and a >= 1, or p = 2 and a >= 2,
+    (I + p^a X)^p = I + p^(a+1) X mod p^(a+2), so a full layer at depth
+    a makes every deeper layer full, and T holds C ∩ K(p^a).  Those
+    layers count at the ceiling without rows and are no longer sifted,
+    and the rows at depth a generate C ∩ K(p^a): that group is uniform,
+    its p-th powers are C ∩ K(p^(a+1)), so the rows span its Frattini
+    quotient (Burnside's basis theorem).  At p = 2, a = 1 this fails:
+    (I + 2X)^2 = I + 4(X + X^2), and <I + 2E_ij> mod 8 has 128 elements,
+    not the 256 of K(2).
     """
-    chain = []
-    d = r
-    while d < n:
-        p = min(_prime_factors(n // d))
-        chain.append((d, p))
-        d *= p
-    rows = [[] for _ in chain]  # (pivot, coordinates, [x^-1, ..., x^-(p-1)])
-    power, _ = _power_order(lambda x, y: tmul(x, y, n), TID)
+    q = p ** e
+    power, _ = _power_order(lambda x, y: tmul(x, y, q), TID)
+    # per depth a = i + 1: (pivot, coordinates, [x^-1, ..., x^-(p-1)])
+    rows = [[] for _ in range(e - 1)]
+    live = e - 1  # the layers still sifted; the deeper ones are full
     seq = []
-    todo = list(items)
-    while todo:
-        x = todo.pop()
-        for i, (d, p) in enumerate(chain):
-            v = [(a - e) // d % p for a, e in zip(x, TID)]
+    stack = []
+    items = iter(items)
+    while True:
+        if stack:
+            x = stack.pop()
+        else:
+            x = next(items, None)
+            if x is None:
+                break
+        for i in range(live):
+            d = p ** (i + 1)
+            v = [(a - b) // d % p for a, b in zip(x, TID)]
             for piv, w, inv_pows in rows[i]:
                 c = v[piv]
                 if c:
-                    x = tmul(x, inv_pows[c - 1], n)
+                    x = tmul(x, inv_pows[c - 1], q)
                     v = [(a - c * b) % p for a, b in zip(v, w)]
             if any(v):
                 break
@@ -528,15 +566,18 @@ def _layer_sequence(n, r, conj, items):
         k = pow(v[piv], -1, p)
         x = power(x, k)
         v = [a * k % p for a in v]
-        xi = tinv(x, n)
-        inv_pows = [power(xi, c) for c in range(1, p)]
-        rows[i].append((piv, v, inv_pows))
-        todo.append(power(x, p))
-        todo.extend(tmul(tmul(x, y, n), tmul(xi, tinv(y, n), n), n)
-                    for y in seq)
-        todo.extend(tmul(tmul(g, x, n), gi, n) for g, gi in conj)
+        xi = tinv(x, q)
+        rows[i].append((piv, v, [power(xi, c) for c in range(1, p)]))
+        if len(rows[i]) == rank and (p > 2 or i > 0):
+            live = i
+        if all(len(rs) == rank for rs in rows[:live]):
+            return seq + [x], p ** (rank * (e - 1))
+        stack.append(power(x, p))
+        stack.extend(tmul(tmul(x, y, q), tmul(xi, tinv(y, q), q), q)
+                     for y in seq)
+        stack.extend(tmul(tmul(g, x, q), gi, q) for g, gi in conj)
         seq.append(x)
-    return seq, math.prod(p ** len(rs) for (_, p), rs in zip(chain, rows))
+    return seq, p ** (sum(map(len, rows[:live])) + rank * (e - 1 - live))
 
 
 def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
@@ -550,13 +591,21 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     normal closure of Holt-Eick-O'Brien's Handbook of CGT).  Every
     conjugate then lies in <S> mod r, so <S> mod r is N mod r.
     When r = n that closure is N, returned materialized.  Otherwise
-    N = <S> * (N ∩ K(r)), K(r) the kernel of reduction mod r, and
-    N ∩ K(r) is the smallest subgroup of K(r) normalized by G that holds
-    the Schreier generators of <S> ∩ K(r) and t^-1 x for every seed x and
-    every conjugate x formed in the walk, t the transversal word of x
-    mod r.  It is counted through the congruence layers by
-    _layer_sequence, so N is returned with its order recorded and is not
-    materialized.
+    N = <S> * T, T = N ∩ K(r), K(r) the kernel of reduction mod r.  T is
+    the smallest subgroup of K(r) normalized by G that holds t^-1 x for
+    every seed x and every conjugate x formed in the walk, t the
+    transversal word of x mod r, and the Schreier generators of
+    <S> ∩ K(r), read in that order and only as far as they are needed.
+
+    K(r) is the direct product of its p-parts, the kernels of
+    GL2(Z/p^e) -> GL2(Z/p) for p^e || n, and G conjugates factor by
+    factor, so T is the product of its images mod p^e, each the smallest
+    subgroup normalized by G mod p^e that holds the items mod p^e.  Each
+    is counted alone by _layer_sequence, its rows lifted by CRT with I at
+    the other primes, and |T| is the product of their orders; a prime with
+    e = 1 adds nothing.  When every seed has det 1, N lies in SL2, and
+    each image's ceiling is SL2 rather than GL2.  N is returned with its
+    order recorded and is not materialized.
     """
     n = G.modulus
     gens = []
@@ -566,7 +615,8 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
             gens.append(t)
     if not gens:
         return FiniteMatrixGroup(n, (), 1)
-    r = math.prod(_prime_factors(n))
+    factors = _prime_factors(n)
+    r = math.prod(factors)
     clo = _Closure(r)
     lifts = [x for x in gens if clo.add_gen(x)]
     conj = [(g, tinv(g, n)) for g in G.generator_tuples]
@@ -586,11 +636,28 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     lifts_low = {s: low(s) for s in lifts}
     trans, schreier = _schreier(lifts, n, low(TID),
                                 lambda q, s: tmul(q, lifts_low[s], r))
-    inverse = {q: tinv(t, n) for q, t in trans.items()}
-    seq, layer_order = _layer_sequence(
-        n, r, conj, schreier + [tmul(inverse[low(x)], x, n)
-                                for x in gens + conjugates])
-    return FiniteMatrixGroup(n, lifts + seq, len(trans) * layer_order)
+    inverse = {}
+
+    def to_kernel(x):
+        u = low(x)
+        if u not in inverse:
+            inverse[u] = tinv(trans[u], n)
+        return tmul(inverse[u], x, n)
+
+    rank = 3 if all(tdet(x, n) == 1 for x in gens) else 4
+    layered = [(p, e) for p, e in factors.items() if e > 1]
+    streams = itertools.tee(
+        itertools.chain(map(to_kernel, gens + conjugates), schreier),
+        len(layered))
+    seq, order = [], len(trans)
+    for (p, e), stream in zip(layered, streams):
+        q = p ** e
+        part, size = _layer_sequence(
+            p, e, rank, [(_reduced(g, q), _reduced(gi, q)) for g, gi in conj],
+            (_reduced(x, q) for x in stream))
+        seq += [tcrt(x, q, TID, n // q) for x in part]
+        order *= size
+    return FiniteMatrixGroup(n, lifts + seq, order)
 
 
 def _commutators(G: FiniteMatrixGroup) -> list:

@@ -209,6 +209,21 @@ def test_condition_bad_v(capsys):
     assert code == 1 and "SchemaError" in err
 
 
+@pytest.mark.parametrize("v", ["1.5", "1e3", " 7 ", "1_000", "3/0"])
+def test_rationals_outside_the_schema_are_schema_errors(capsys, tmp_path, v):
+    # the README documents an integer or a "num/den" string, nothing else
+    code, _, err = run(capsys, "condition", "--label", "2A-2A", "--v", v)
+    assert code == 1 and "error: SchemaError" in err
+    assert "Traceback" not in err
+    raw = json.loads(resources.files("aimg").joinpath(
+        "data/sample_catalog.json").read_text())
+    raw["entries"][1]["members"][0]["v"] = v
+    code, _, err = run(capsys, "classify", "--catalog",
+                       write_json(tmp_path, "cat.json", raw))
+    assert code == 1 and "error: SchemaError" in err and "member 0" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -359,25 +359,27 @@ def test_is_conjugate_subgroup():
 # --- normal closures through the congruence layers, against BFS ---
 
 # r = rad(n) < n at each level; 4, 8, 12, 16 and 24 have the p = 2 layer
-# at d = 2, 25 the p = 5 layer, and 12, 18 and 24 mix primes.
-LAYER_LEVELS = {4: 2, 8: 2, 9: 3, 12: 6, 16: 2, 18: 6, 24: 6, 25: 5, 27: 3}
+# at d = 2, 25 the p = 5 layer, 12, 18 and 24 mix primes, and at 36 both
+# primes have a layer above r.
+LAYER_LEVELS = {4: 2, 8: 2, 9: 3, 12: 6, 16: 2, 18: 6, 24: 6, 25: 5, 27: 3,
+                36: 6}
 
 
 @st.composite
 def layered_groups(draw):
     """(n, generators, word, kernel seeds): two random generators at a
     level of LAYER_LEVELS and up to one element I + rX of the kernel of
-    reduction mod r = rad(n) (at 25 and 27, where two random generators
-    usually span 10^5 elements, one of each), a word of one to three
-    generators, and two more kernel elements, which need not lie in the
-    group."""
+    reduction mod r = rad(n) (at 25, 27 and 36, where two random
+    generators usually span 10^5 elements, one of each), a word of one to
+    three generators, and two more kernel elements, which need not lie in
+    the group."""
     n = draw(st.sampled_from(sorted(LAYER_LEVELS)))
     r = LAYER_LEVELS[n]
     invertible = st.sampled_from(oracle_helpers.gl2_elements(n))
     kernel = st.tuples(*[st.integers(0, n // r - 1)] * 4).map(
         lambda x: ((1 + r * x[0]) % n, r * x[1], r * x[2],
                    (1 + r * x[3]) % n))
-    if n in (25, 27):
+    if n in (25, 27, 36):
         gens = [draw(invertible), draw(kernel)]
     else:
         gens = [draw(invertible), draw(invertible)]
@@ -388,8 +390,49 @@ def layered_groups(draw):
     return n, gens, word, [draw(kernel), draw(kernel)]
 
 
+def crt_4_9(x, y):
+    """The tuple mod 36 that is x mod 4 and y mod 9."""
+    return tuple((9 * a + 28 * b) % 36 for a, b in zip(x, y))
+
+
+I2 = (1, 0, 0, 1)
+GL2_4 = [(1, 1, 0, 1), (0, 3, 1, 0), (3, 0, 0, 1)]
+GL2_9 = [(1, 1, 0, 1), (0, 8, 1, 0), (2, 0, 0, 1)]
+# Groups that take the layered count's early stops, as (n, generators,
+# word, kernel seeds).  T = N ∩ K(rad n) is counted one prime at a time,
+# and a prime's count stops once it fills its ceiling, C ∩ K(p) with
+# C = SL2 when every seed has det 1 and GL2 otherwise.
+LAYERED_EXAMPLES = [
+    # 36: G = GL2(Z/4) x <(1, 1, 0, 1) mod 9>; in G and in the normal
+    # closure of the seeds, the 2-part of T is all of K(2) mod 4 and the
+    # 3-part is one 3-cycle
+    (36, [crt_4_9(g, I2) for g in GL2_4] + [crt_4_9(I2, (1, 1, 0, 1))],
+     crt_4_9((1, 1, 0, 1), (1, 1, 0, 1)),
+     [crt_4_9((3, 0, 0, 1), I2), crt_4_9(I2, (1, 3, 0, 1))]),
+    # and the other way round: the 3-part full, the 2-part one involution
+    (36, [crt_4_9(I2, g) for g in GL2_9] + [crt_4_9((1, 1, 0, 1), I2)],
+     crt_4_9((1, 1, 0, 1), (1, 1, 0, 1)),
+     [crt_4_9((1, 2, 0, 1), I2), crt_4_9(I2, (4, 0, 0, 1))]),
+    # <I + 2E_ij> mod 8 has 128 elements, not 256: a full layer at 2
+    # does not fill the layer at 4
+    (8, [(3, 0, 0, 1), (1, 2, 0, 1), (1, 0, 2, 1), (1, 0, 0, 3)],
+     (3, 2, 0, 1), [(3, 2, 0, 1), (1, 0, 2, 5)]),
+    # seeds of det -1 whose kernel part lies in SL2: the count runs under
+    # the GL2 ceiling, which it never reaches
+    (27, [(26, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1)], (26, 24, 0, 1),
+     [(1, 3, 0, 1), (1, 0, 6, 1)]),
+]
+
+
+def layered_examples(test):
+    for data in LAYERED_EXAMPLES:
+        test = example(data=data)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=layered_groups())
+@layered_examples
 def test_layered_normal_closure_matches_brute_force(data):
     n, gens, word, outside = data
     G = FiniteMatrixGroup(n, gens)
@@ -411,6 +454,7 @@ def test_layered_normal_closure_matches_brute_force(data):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=layered_groups())
+@layered_examples
 def test_order_is_counted_without_closing(data):
     # above rad(n) the order comes from the congruence layers, and a later
     # closure asserts it

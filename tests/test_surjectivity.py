@@ -196,6 +196,14 @@ def test_fails_projection_factor_named():
             for t in ((1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1))]
     v = surjectivity_check(G, gens)
     assert v.kind == "FailsProjection" and v.factor == "M"
+    # at the boundary: onto {det a square} in GL2(F5), exactly half of it
+    square_det = ((1, 1, 0, 1), (0, 4, 1, 0), (4, 0, 0, 1))
+    assert len(bfs_closure(square_det, 5)) * 2 == full_gl2(5).order
+    gens = [crt_combine(RM(t, 4), RM((1, 0, 0, 1), 5))
+            for t in (g.entries for g in BOREL4.generators)]
+    gens += [crt_combine(RM((1, 0, 0, 1), 4), RM(t, 5)) for t in square_det]
+    assert surjectivity_check(G, gens) == \
+        SurjectivityVerdict("FailsProjection", 5)
 
 
 def test_no_generators_is_the_trivial_group():
