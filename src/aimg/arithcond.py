@@ -2,44 +2,38 @@
 
 Covers the table-side predicates: squarefree tests, rational squares,
 whether Q(sqrt(d)) meets a cyclotomic field K_M or tower K_{M^infinity}
-beyond Q, the quartic x^4 + p x^2 + q degree/intersection classifier, the
-two shipped nested-radical minimal polynomials, and a small condition
-expression language with a JSON schema and a traced evaluator.
+beyond Q, the quartic x^4 + p x^2 + q degree/intersection classifier, and
+a small condition expression language with a JSON schema and a traced
+evaluator.
 
 Everything is exact over int and Fraction.  Integers are factored by the
-package's one factorizer, matgroup._prime_factors, and floating point
-only picks a nested radical's factor among exact ones and sanity-checks
-the result.
+package's one factorizer, matgroup._prime_factors.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     DegenerateQuartic,
-    DegenerateRadicand,
     SchemaError,
-    UnsupportedShape,
     ZeroInput,
     is_json_int,
     json_ints,
     json_list,
     json_rational,
 )
-from .matgroup import _divisors, _prime_factors
-from .ratfunc import INFINITY, RationalMap, _pdivmod, _peval, _rational_roots, \
-    _trim, evaluate
+from .matgroup import _prime_factors
+from .ratfunc import INFINITY, RationalMap, _peval, _rational_roots, _trim, \
+    evaluate
 
 __all__ = [
     "squarefree_part",
     "is_rational_square",
     "quad_cyc_trivial",
     "quartic_condition",
-    "nested_radical_min_poly",
     "VCondition",
     "parse_vcondition",
     "eval_condition",
@@ -153,120 +147,6 @@ def quartic_condition(p, q, M: int = 2) -> str:
     if all(quad_cyc_trivial(d, M, "tower") for d in radicands if d != 0):
         return DEGREE4_TRIVIAL
     return DEGREE4_NONTRIVIAL
-
-
-NESTED_RADICAL_SHAPES = ("pi4", "pi6")
-
-
-def nested_radical_min_poly(shape: str, v) -> tuple:
-    """Degree-4 integer minimal polynomial (ascending coefficients, unit
-    content) of the displayed nested radical.
-
-    Shapes: "pi4" is -sqrt(v^2+16)/4 + (1/2) sqrt(v^2/2
-    - (v^3+16v)/(2 sqrt(v^2+16)) + 8); "pi6" is the same with v^2-16,
-    v^3-16v and no +8 term.
-
-    That is theta = -sqrt(a)/4 + sqrt(b)/2 with b = c + d sqrt(a), where
-    a = v^2 + 16, c = v^2/2 + 8 (pi4) or a = v^2 - 16, c = v^2/2 (pi6),
-    and d = -v/2, so theta is a root of the quartic
-    (theta^2 + a/16 - c/4)^2 - a (theta/2 + v/8)^2.  With v = p/q and
-    psi = 4 q theta it is the monic integer quartic
-    (psi^2 + E)^2 - 4 A (psi + p)^2, A = q^2 a, E = q^2 (a - 4c), which
-    is factored over Q exactly; theta's factor is then picked by
-    evaluating the factors at theta numerically.
-    """
-    if shape not in NESTED_RADICAL_SHAPES:
-        raise UnsupportedShape(f"unknown nested-radical shape {shape!r}")
-    v = Fraction(v)
-    if shape == "pi4":
-        a, c = v * v + 16, v * v / 2 + 8
-    else:
-        a, c = v * v - 16, v * v / 2
-    d = -v / 2
-    if a == 0:
-        raise DegenerateRadicand(f"inner radicand vanishes at v = {v}")
-    # b = 0: both parts vanish, or c = -d sqrt(a) with sqrt(a) rational
-    if c == d == 0 or (a > 0 and c * d < 0 and c * c == d * d * a):
-        raise DegenerateRadicand(f"outer radicand vanishes at v = {v}")
-    # principal square roots, as in the displayed formula; for a > 0,
-    # b is a positive real in both shapes
-    root_a = cmath.sqrt(a)
-    theta = -root_a / 4 + cmath.sqrt(c + d * root_a) / 2
-    p, q = v.numerator, v.denominator
-    A, E = int(a * q * q), int((a - 4 * c) * q * q)
-    psi = 4 * q * theta
-    factor = min(_quartic_factors_over_q(
-                     [E * E - 4 * A * p * p, -8 * A * p, 2 * E - 4 * A, 0, 1]),
-                 key=lambda f: _relative_value(f, psi))
-    if len(factor) != 5:
-        raise DegenerateRadicand(
-            f"radical generates a degree-{len(factor) - 1} extension "
-            f"at v = {v}")
-    # back from psi to theta: the coefficient of theta^k gains (4q)^k
-    coeffs = [int(f) * (4 * q) ** k for k, f in enumerate(factor)]
-    g = math.gcd(*coeffs)
-    coeffs = [x // g for x in coeffs]
-    # numeric validation only; all decisions above are exact
-    assert _relative_value(coeffs, theta) <= 1e-9, (coeffs, theta)
-    return tuple(coeffs)
-
-
-def _relative_value(coeffs, x) -> float:
-    """|f(x)| relative to the size of its terms."""
-    val = sum(c * x ** k for k, c in enumerate(coeffs))
-    scale = max(abs(c) * max(1.0, abs(x)) ** k
-                for k, c in enumerate(coeffs))
-    return abs(val) / scale
-
-
-def _quartic_factors_over_q(g) -> list:
-    """Irreducible factors over Q (monic, ascending Fraction coefficients)
-    of the monic integer quartic g = x^4 + P x^2 + Q x + R.
-
-    Linear factors come from the rational roots.  A quartic left without
-    them either is irreducible or splits as (x^2 + s x + t)(x^2 - s x + u)
-    with integers s, t, u (Gauss), where s^2 is a root of the resolvent
-    cubic S^3 + 2P S^2 + (P^2 - 4R) S - Q^2: s = 0 when Q = 0, and
-    otherwise s divides Q, with t + u = P + s^2 and u - t = Q/s.
-    """
-    rest = [Fraction(x) for x in g]
-    factors = []
-    for r in sorted(_rational_roots(g)):
-        lin = [-r, Fraction(1)]
-        while True:
-            quo, rem = _pdivmod(rest, lin)
-            if rem:
-                break
-            factors.append(lin)
-            rest = quo
-    split = _quadratic_split(g[2], g[1], g[0]) if len(rest) == 5 else None
-    if split:
-        s, t, u = split
-        return [[Fraction(t), Fraction(s), Fraction(1)],
-                [Fraction(u), Fraction(-s), Fraction(1)]]
-    return factors + [rest] if len(rest) > 1 else factors
-
-
-def _quadratic_split(P: int, Q: int, R: int):
-    """(s, t, u) with x^4 + P x^2 + Q x + R = (x^2 + s x + t)(x^2 - s x + u)
-    over the integers, or None."""
-    if Q == 0:
-        # s = 0: t and u are the roots of z^2 - P z + R
-        r = _rational_sqrt(P * P - 4 * R)
-        if r is not None:
-            return 0, (P - r) // 2, (P + r) // 2
-        # s != 0 forces t = u = ±sqrt(R) and s^2 = 2t - P
-        t = _rational_sqrt(R)
-        for t in (() if t is None else (t, -t)):
-            s = _rational_sqrt(2 * t - P)
-            if s:
-                return s, t, t
-        return None
-    for s in _divisors(abs(Q)):
-        tu, dd = P + s * s, Q // s
-        if (tu - dd) % 2 == 0 and (tu - dd) * (tu + dd) == 4 * R:
-            return s, (tu - dd) // 2, (tu + dd) // 2
-    return None
 
 
 # --- condition expression language ---

@@ -142,14 +142,6 @@ class DegenerateQuartic(AimgError):
     pass
 
 
-class UnsupportedShape(AimgError):
-    pass
-
-
-class DegenerateRadicand(AimgError):
-    pass
-
-
 class NotEligible(AimgError):
     pass
 

@@ -4,14 +4,14 @@ Closure from generators, orbits, cosets, derived subgroups, abelian
 structure of quotients and unit groups, subgroup conjugacy, and enumeration
 of homomorphisms between finite abelian groups.
 
-Closure is breadth-first over canonical entry tuples with deterministic
-iteration order (generator order, then discovery order), so coset
-representatives and reports are reproducible.  A configurable cap (env var
-``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size and
-orbit size; hitting it raises ResourceExceeded rather than truncating
+Closure is by right cosets (Dimino) over canonical entry tuples with
+deterministic iteration order (generator order, then coset order), so
+coset representatives and reports are reproducible.  A configurable cap
+(env var ``AIMG_CAP_ORDER``, default 10**7) bounds materialized group size
+and orbit size; hitting it raises ResourceExceeded rather than truncating
 silently.
 
-Orders, normal closures and derived subgroups are closed by BFS only mod
+Orders, normal closures and derived subgroups are closed only mod
 rad(n).  Above it they are counted through the congruence layers, one
 prime p^e || n at a time: the kernel of GL2(Z/p^(a+1)) -> GL2(Z/p^a) is
 M2(F_p) for a >= 1, so the part in the kernel mod rad(n) is a product of
@@ -240,7 +240,25 @@ def sl2_order(n: int) -> int:
 
 
 class _Closure:
-    """Incrementally extensible BFS closure over matrix tuples mod n."""
+    """Incrementally extensible closure over matrix tuples mod n, by right
+    cosets (Dimino's algorithm; Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991).
+
+    add_gen(z) extends the closed group H = elems[:block] by the coset
+    H z, then walks the new representatives r = elems[block],
+    elems[2 block], ... in turn and adds the coset H (r s) for each
+    generator s with r s not yet seen.  What is added stays a union of
+    right cosets of H that holds I and is closed under right
+    multiplication by every generator, so it is <H, z>.  That costs about
+    |G| + k [G : H] products for k generators, against k |G| for a
+    breadth-first walk.
+
+    ``elems`` lists the group in coset order: elems[0] is I, and each
+    coset starts with its representative.  The cap is checked before each
+    coset; one that would pass it is filled up to exactly the cap and
+    ResourceExceeded is raised with ``partial`` equal to the cap, so a
+    closure raises exactly when the group's order exceeds the cap.
+    """
 
     def __init__(self, n, gens=(), cap=None):
         self.n = n
@@ -259,34 +277,46 @@ class _Closure:
         z = _reduced(z, n)
         if z in self.seen:
             return False
-        # seed with old * z so every word containing z is reachable by
-        # right-multiplication BFS
-        queue = deque(tmul(u, z, n) for u in self.elems)
         self.gens.append(z)
         gens = self.gens
         seen = self.seen
         elems = self.elems
-        while queue:
-            x = queue.popleft()
-            if x in seen:
-                continue
-            if len(seen) >= self.cap:
-                raise ResourceExceeded(
-                    f"group closure exceeded cap {self.cap} at modulus {n} "
-                    f"with {len(gens)} generators ({len(seen)} elements "
-                    f"reached)",
-                    partial=len(seen), modulus=n, generators=len(gens))
-            seen.add(x)
-            elems.append(x)
-            # tmul inlined, x unpacked once: this loop is most of the cost
-            # of every closure, genus's H (through intersect_sl2) included
-            a, b, c, d = x
+        block = len(elems)
+        sub = elems[:block]
+        self._add_coset(sub, z)
+        pos = block
+        while pos < len(elems):
+            # tmul inlined, r unpacked once, as in _add_coset
+            a, b, c, d = elems[pos]
             for e, f, g, h in gens:
                 y = ((a * e + b * g) % n, (a * f + b * h) % n,
                      (c * e + d * g) % n, (c * f + d * h) % n)
                 if y not in seen:
-                    queue.append(y)
+                    self._add_coset(sub, y)
+            pos += block
         return True
+
+    def _add_coset(self, sub, x):
+        """Append the right coset sub * x, which no element so far meets;
+        ResourceExceeded, with the closure filled up to the cap, when it
+        does not fit under the cap."""
+        n = self.n
+        room = self.cap - len(self.elems)
+        # tmul inlined, x unpacked once: this loop is most of the cost of
+        # every closure, genus's H (through intersect_sl2) included
+        e, f, g, h = x
+        coset = [((a * e + b * g) % n, (a * f + b * h) % n,
+                  (c * e + d * g) % n, (c * f + d * h) % n)
+                 for a, b, c, d in (sub if room >= len(sub) else sub[:room])]
+        self.elems += coset
+        self.seen.update(coset)
+        if room < len(sub):
+            raise ResourceExceeded(
+                f"group closure exceeded cap {self.cap} at modulus {n} "
+                f"with {len(self.gens)} generators ({len(self.seen)} "
+                f"elements reached)",
+                partial=len(self.seen), modulus=n,
+                generators=len(self.gens))
 
 
 def _orbit(x, moves) -> set:
@@ -336,12 +366,18 @@ def _schreier(gens, n, start, act):
     def schreier():
         inverse = {}
         seen = {ident}
-        for q, t in trans.items():
-            for g in gens:
-                r = act(q, g)
+        for q, (a, b, c, d) in trans.items():
+            for x in gens:
+                r = act(q, x)
                 if r not in inverse:
                     inverse[r] = tinv(trans[r], n)
-                s = tmul(tmul(t, g, n), inverse[r], n)
+                # t x t_r^-1, tmul inlined as in _Closure
+                e, f, g, h = x
+                a1, b1 = (a * e + b * g) % n, (a * f + b * h) % n
+                c1, d1 = (c * e + d * g) % n, (c * f + d * h) % n
+                e, f, g, h = inverse[r]
+                s = ((a1 * e + b1 * g) % n, (a1 * f + b1 * h) % n,
+                     (c1 * e + d1 * g) % n, (c1 * f + d1 * h) % n)
                 if s not in seen:
                     seen.add(s)
                     yield s
@@ -370,8 +406,8 @@ def _cosets(elements, sub, mul):
 
 def _reduced(x, n) -> tuple:
     """The entries of a ResidueMatrix or a 4-tuple, reduced mod n."""
-    t = x.entries if isinstance(x, ResidueMatrix) else x
-    return tuple(v % n for v in t)
+    a, b, c, d = x.entries if isinstance(x, ResidueMatrix) else x
+    return (a % n, b % n, c % n, d % n)
 
 
 class FiniteMatrixGroup:
@@ -584,7 +620,7 @@ def normal_closure(G: FiniteMatrixGroup, seeds) -> FiniteMatrixGroup:
     """Smallest subgroup N that contains the seed elements and is
     normalized by G: the normal closure in G when the seeds lie in G.
 
-    N is closed by BFS only at r = rad(n), n the modulus.  S (``lifts``)
+    N is closed only at r = rad(n), n the modulus.  S (``lifts``)
     starts as the seeds that grow that closure and is walked once, in the
     order it grows: each s in S is conjugated once by each generator g of
     G, and a conjugate g s g^-1 that grows the closure joins S (as in the

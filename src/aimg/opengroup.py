@@ -201,8 +201,9 @@ def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
     from the Schreier generators t_u g t_{u det g}^-1 over a transversal
     u -> t_u of det G(m), so G(m) itself is never enumerated."""
     n = G.level
-    _, schreier = _schreier(G.mod_level_group().generator_tuples, n, 1 % n,
-                            lambda u, g: u * tdet(g, n) % n)
+    gens = G.mod_level_group().generator_tuples
+    dets = {g: tdet(g, n) for g in gens}
+    _, schreier = _schreier(gens, n, 1 % n, lambda u, g: u * dets[g] % n)
     return _closed(_Closure(n, schreier))
 
 
@@ -307,7 +308,7 @@ class CommutatorResult:
 
 def _part_data(G: OpenSubgroup, L: int):
     """(D(L) at its least level, [G(L) ∩ SL2 : D(L)]) with D(L) the
-    derived subgroup of G(L).  D(L) is closed by BFS only mod rad(L) and
+    derived subgroup of G(L).  D(L) is closed only mod rad(L) and
     counted through the congruence layers above it, and the SL2-part is
     counted by sl_count, so neither D(L) nor G(L) is enumerated."""
     der = derived_subgroup(G.finite_image(L))

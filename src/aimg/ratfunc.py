@@ -365,12 +365,19 @@ def moebius_equivalent(u: RationalMap, pi2: RationalMap):
     """A degree-1 g over Q with u = pi2 o g, or None.
 
     Candidate g are built by matching fibers of pi2 over the u-values of
-    three sample points, then verified symbolically; among all verifying
+    three sample points.  A candidate with pi2(g(3)) != u(3) is dropped
+    unverified; the rest are verified symbolically.  Among all verifying
     maps the one with lexicographically least (num, den) is returned.
+
+    The fourth point drops no map that verifies.  A u equal to a
+    composition is in canonical form, so evaluate gives its values, and
+    then so it does for pi2: a common factor of pi2's numerator and
+    denominator would raise pi2.degree above u.degree.
     """
     if u.degree != pi2.degree or u.degree < 1:
         return None
     xs = [Fraction(0), Fraction(1), Fraction(2)]
+    u_at_3 = evaluate(u, 3)
     fibers = [rational_fibers(pi2, evaluate(u, x)) for x in xs]
     if any(not f for f in fibers):
         return None
@@ -383,7 +390,7 @@ def moebius_equivalent(u: RationalMap, pi2: RationalMap):
                 if z3 == z1 or z3 == z2:
                     continue
                 g = moebius_from_points(xs, (z1, z2, z3))
-                if g is None:
+                if g is None or evaluate(pi2, evaluate(g, 3)) != u_at_3:
                     continue
                 if compose(pi2, g) == RationalMap(u.num, u.den):
                     key = (g.num, g.den)

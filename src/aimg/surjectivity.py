@@ -21,11 +21,13 @@ from .errors import NotASubgroup, ResourceExceeded
 from .matgroup import (
     FiniteMatrixGroup,
     _Closure,
-    _orbit,
     _prime_factors,
     derived_subgroup,
+    gl2_order,
     quotient_group,
+    unit_group,
 )
+from .modmatrix import tdet
 from .opengroup import full_gl2
 
 __all__ = [
@@ -140,14 +142,48 @@ class SurjectivityVerdict:
         return self.kind
 
 
+def _lattice_index(rows, r) -> int:
+    """[Z^r : L] for the lattice L spanned by the integer vectors ``rows``
+    of length r, which must have rank r: the product of the pivots of its
+    Hermite form.  Each column is cleared below its pivot by Euclid's
+    algorithm on the rows, by integer row operations, which keep L."""
+    rows = [list(v) for v in rows]
+    index = 1
+    for j in range(r):
+        while True:
+            live = [v for v in rows if v[j]]
+            pivot = min(live, key=lambda v: abs(v[j]))
+            if len(live) == 1:
+                break
+            for v in live:
+                if v is not pivot:
+                    k = v[j] // pivot[j]
+                    v[j:] = [a - k * b for a, b in zip(v[j:], pivot[j:])]
+        index *= abs(pivot[j])
+        rows = [v for v in rows if v is not pivot]
+    return index
+
+
 def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     """Decide H = G at the truncation from generators of H.
 
     H generators are matrices at the combined modulus; an empty list is
     the trivial group.  The check mirrors the criterion: every factor
-    projection must be onto, and H must cover the abelianization G/[G,G]
-    (computed factorwise, since the derived subgroup of a product is the
-    product of the derived subgroups).
+    projection must be onto, and H must cover the abelianization G/[G,G].
+    That is computed factorwise, since the derived subgroup of a product
+    is the product of the derived subgroups.
+
+    Write prod_i F_i/[F_i, F_i] as prod_j Z/d_j and let eta(h) in Z^r be
+    the coordinates of h.  H covers it exactly when the lattice spanned by
+    the eta(h) of H's generators and the d_j e_j is all of Z^r, that is
+    when its index, the product of the pivots of its Hermite form, is 1.
+
+    A full GL2(Z/l^k) factor F with l >= 5 goes through det: SL2(Z_l) is
+    perfect for l >= 5 (see commutator_open), so [F, F] = SL2(Z/l^k),
+    F/[F, F] = (Z/l^k)^x through det, and eta is the unit log of det.
+    The M-part, factors at l = 2 and 3 (SL2(Z_l) is not perfect there,
+    and [F, F] has index 2 in SL2 at l = 2) and proper subgroups go
+    through derived_subgroup and quotient_group.
     """
     N = G.modulus
     for h in h_gens:
@@ -173,23 +209,20 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
             return SurjectivityVerdict("FailsProjection", name)
 
     # abelian quotient, factor by factor
-    quotients = []
+    invariants, etas = [], []
     for name, fac in G.factors:
-        D = derived_subgroup(fac)
-        Q, eta = quotient_group(fac, D)
-        quotients.append((fac.modulus, Q, eta))
-    full_order = math.prod(Q.order for _, Q, _ in quotients)
-    if full_order > 1:
-        vecs = []
-        for h in h_gens:
-            vecs.append(tuple(eta(h.reduce_mod(m).entries)
-                              for m, Q, eta in quotients))
-        # additive closure in the product of the abelian quotients
-        def add(u, v):
-            return tuple(Q.add(a, b)
-                         for (_, Q, _), a, b in zip(quotients, u, v))
-        ident = tuple(Q.identity for _, Q, _ in quotients)
-        span = _orbit(ident, [lambda x, v=v: add(x, v) for v in vecs])
-        if len(span) != full_order:
-            return SurjectivityVerdict("FailsAbelianQuotient")
+        m = fac.modulus
+        if name != "M" and name >= 5 and fac.order == gl2_order(m):
+            Q = unit_group(m)
+            eta = lambda x, m=m, Q=Q: Q.log(tdet(x, m))
+        else:
+            Q, eta = quotient_group(fac, derived_subgroup(fac))
+        invariants += Q.invariants
+        etas.append((m, eta))
+    rows = [[a for m, eta in etas for a in eta(h.reduce_mod(m).entries)]
+            for h in h_gens]
+    rows += [[d if i == j else 0 for i in range(len(invariants))]
+             for j, d in enumerate(invariants)]
+    if _lattice_index(rows, len(invariants)) != 1:
+        return SurjectivityVerdict("FailsAbelianQuotient")
     return SurjectivityVerdict("Surjective")

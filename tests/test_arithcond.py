@@ -1,7 +1,6 @@
 """Arithmetic conditions: cyclotomic criteria, quartic classifier and the
 condition expression language, against independent oracles."""
 
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -17,7 +16,6 @@ from aimg.arithcond import (
     _cubic_irreducible,
     eval_condition,
     is_rational_square,
-    nested_radical_min_poly,
     parse_vcondition,
     quad_cyc_trivial,
     quartic_condition,
@@ -25,9 +23,7 @@ from aimg.arithcond import (
 )
 from aimg.errors import (
     DegenerateQuartic,
-    DegenerateRadicand,
     SchemaError,
-    UnsupportedShape,
     ZeroInput,
 )
 from aimg.ratfunc import RationalMap
@@ -186,84 +182,6 @@ def test_quartic_subfields_anchored_in_sympy():
             factors = sympy.factor_list(x ** 2 - d, extension=theta)[1]
             in_field = max(sympy.degree(f, x) for f, _ in factors) == 1
             assert in_field == (d in rads), (p, q, d)
-
-
-def test_nested_radical_min_poly_numeric_and_degree():
-    for shape, vs in (("pi4", (1, 2, 5)),
-                      ("pi6", (3, 6, 7))):
-        for v in vs:
-            coeffs = nested_radical_min_poly(shape, v)
-            assert len(coeffs) == 5 and coeffs[-1] > 0
-            assert math.gcd(*(abs(c) for c in coeffs)) == 1
-            # independent numeric check of the displayed radical, in
-            # complex arithmetic so negative radicands are fine
-            vv = complex(v)
-            if shape == "pi4":
-                inner = vv * vv + 16
-                second = vv * vv / 2 - (vv ** 3 + 16 * vv) / (
-                    2 * cmath.sqrt(inner)) + 8
-            else:
-                inner = vv * vv - 16
-                second = vv * vv / 2 - (vv ** 3 - 16 * vv) / (
-                    2 * cmath.sqrt(inner))
-            theta = -cmath.sqrt(inner) / 4 + cmath.sqrt(second) / 2
-            val = sum(c * theta ** k for k, c in enumerate(coeffs))
-            scale = max(abs(c) * max(1.0, abs(theta)) ** k
-                        for k, c in enumerate(coeffs))
-            assert abs(val) <= 1e-8 * scale
-            # irreducibility over Q (sympy oracle)
-            x = sympy.symbols("x")
-            poly = sum(c * x ** k for k, c in enumerate(coeffs))
-            assert sympy.Poly(poly, x).is_irreducible
-
-
-def _nested_radical_oracle(shape, v):
-    """sympy's minimal polynomial of the displayed radical, normalized,
-    or the (exception class, message) expected instead."""
-    x = sympy.Symbol("x")
-    vs = sympy.Rational(v.numerator, v.denominator)
-    k = 16 if shape == "pi4" else -16
-    inner = vs ** 2 + k
-    if inner == 0:
-        return DegenerateRadicand, f"inner radicand vanishes at v = {v}"
-    second = (vs ** 2 / 2 - (vs ** 3 + k * vs) / (2 * sympy.sqrt(inner))
-              + (8 if shape == "pi4" else 0))
-    if second == 0:
-        return DegenerateRadicand, f"outer radicand vanishes at v = {v}"
-    expr = -sympy.sqrt(inner) / 4 + sympy.sqrt(second) / 2
-    # compose=False (Groebner bases) gives the same polynomial as the
-    # default, several times faster on these radicals
-    poly = sympy.minimal_polynomial(expr, x, polys=True, compose=False)
-    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
-    if len(coeffs) != 5:
-        return DegenerateRadicand, (
-            f"radical generates a degree-{len(coeffs) - 1} extension "
-            f"at v = {v}")
-    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
-    return tuple(c // g for c in coeffs)
-
-
-@pytest.mark.parametrize("shape", ["pi4", "pi6"])
-def test_nested_radical_min_poly_matches_sympy(shape):
-    # v = p/q with |p| <= 40, q <= 12, the degenerate v included: pi4 at
-    # v = 0, ±3, ±5/3, ... (a = v^2 + 16 a square), pi6 at v = ±4 and 0
-    values = sorted({Fraction(p, q) for p in range(-40, 41)
-                     for q in range(1, 13)})
-    for v in values:
-        want = _nested_radical_oracle(shape, v)
-        if isinstance(want[0], int):
-            assert nested_radical_min_poly(shape, v) == want, v
-        else:
-            with pytest.raises(want[0]) as err:
-                nested_radical_min_poly(shape, v)
-            assert str(err.value) == want[1], v
-
-
-def test_nested_radical_degenerate():
-    with pytest.raises(DegenerateRadicand):
-        nested_radical_min_poly("pi6", 4)  # inner v^2 - 16 vanishes
-    with pytest.raises(UnsupportedShape):
-        nested_radical_min_poly("pi5", 1)
 
 
 def test_parse_vcondition_roundtrip():

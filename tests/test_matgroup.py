@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from aimg.arithcond import squarefree_part
-from aimg.errors import NotAbelian, NotAHomomorphism
+from aimg.errors import NotAbelian, NotAHomomorphism, ResourceExceeded
 from aimg.matgroup import (
     AbelianHom,
     FiniteAbelianGroup,
@@ -24,6 +24,7 @@ from aimg.matgroup import (
     normal_closure,
     quotient_group,
     unit_group,
+    _Closure,
     _prime_factors,
 )
 from aimg.modmatrix import ResidueMatrix
@@ -71,6 +72,48 @@ def test_closure_matches_bfs_oracle():
             gens = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
             G = closure([ResidueMatrix.from_tuple(t, n) for t in gens])
             assert G.element_set == closure_oracle(gens, n)
+
+
+@st.composite
+def closure_cases(draw):
+    """(n, gens) at n <= 50: any invertible tuples up to n = 10, upper
+    triangular ones above, so that the brute-force oracle stays small."""
+    n = draw(st.integers(1, 50))
+    entry = st.integers(0, n - 1)
+    low = st.just(0) if n > 10 else entry
+    gens = draw(st.lists(
+        st.tuples(entry, entry, low, entry).filter(
+            lambda t: math.gcd(t[0] * t[3] - t[1] * t[2], n) == 1),
+        min_size=1, max_size=4))
+    return n, gens
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=closure_cases(), data=st.data())
+def test_coset_closure_matches_bfs_oracle(case, data):
+    n, gens = case
+    spans = [oracle_helpers.bfs_closure(gens[:i], n)
+             for i in range(len(gens) + 1)]
+    want = spans[-1]
+    at_once = _Closure(n, gens)
+    assert at_once.elems[0] == (1 % n, 0, 0, 1 % n)
+    assert len(at_once.elems) == len(at_once.seen)
+    assert at_once.seen == want
+    # one generator at a time: add_gen grows the group exactly when the
+    # generator lies outside the closure of those before it
+    clo = _Closure(n)
+    for g, before, after in zip(gens, spans, spans[1:]):
+        assert clo.add_gen(g) == (g not in before)
+        assert clo.seen == after
+    # the cap: a closure raises exactly when the order exceeds it, filled
+    # up to the cap
+    cap = data.draw(st.integers(1, 2 * len(want)))
+    if len(want) > cap:
+        with pytest.raises(ResourceExceeded) as err:
+            _Closure(n, gens, cap)
+        assert err.value.partial == cap
+    else:
+        assert _Closure(n, gens, cap).seen == want
 
 
 def test_generators_drop_identities_and_repeats():

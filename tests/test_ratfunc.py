@@ -161,12 +161,36 @@ def test_moebius_equivalent_shift():
     # determinism: lexicographically least (num, den) among the verifying
     # Moebius maps (t+1 and -t-1 both verify)
     assert (g.num, g.den) == ((-1, -1), (1,))
+    # a degree-4 u against itself: u = f(t + 5), f = (t^4 + 36)/t^2 is
+    # invariant under t -> -t, 36/t, so each sample fiber holds 4 points
+    # and 64 candidates are solved, 4 of which verify
+    f = RationalMap.from_coeffs((36, 0, 0, 0, 1), (0, 0, 1))
+    u = compose(f, RationalMap.from_coeffs((5, 1)))
+    g = moebius_equivalent(u, u)
+    assert compose(u, g) == u
+    assert (g.num, g.den) == ((-31, -5), (5, 1))
 
 
 def test_moebius_equivalent_none():
     u = RationalMap.from_coeffs((1, 0, 1), (1,))   # t^2 + 1: fibers differ
     pi2 = RationalMap.from_coeffs((0, 1, 1), (1, 1))
     assert moebius_equivalent(u, pi2) is None
+
+
+def test_moebius_equivalent_finds_a_planted_map():
+    # u = pi2 o g: g is one of the candidates, so the answer verifies and
+    # is at most g
+    rng = random.Random(23)
+    for _ in range(60):
+        pi2 = random_map(rng)
+        a, b, c, d = (rng.randrange(-4, 5) for _ in range(4))
+        if pi2.degree < 1 or a * d == b * c:
+            continue
+        g = RationalMap.from_fractions((b, a), (d, c))
+        u = compose(pi2, g)
+        got = moebius_equivalent(u, pi2)
+        assert got is not None and compose(pi2, got) == u
+        assert (got.num, got.den) <= (g.num, g.den)
 
 
 POINTS = st.one_of(st.just(INFINITY),

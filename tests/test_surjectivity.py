@@ -152,36 +152,61 @@ def test_generator_validation():
         surjectivity_check(G, [bad])
 
 
+BOREL5 = FiniteMatrixGroup(5, [RM(t, 5) for t in
+                               ((1, 1, 0, 1), (2, 0, 0, 1), (1, 0, 0, 2))])
+TRIVIAL = FiniteMatrixGroup(1, ())
+
+
 def test_random_trials_match_direct_closure():
     """Exhaustive comparison with 'H equals G iff the closure of the
-    generators has full order' on a mid-size truncation."""
-    G = TruncatedAdelicGroup.with_full_primes(BOREL4, (5,))
-    rng = random.Random(61)
-    belems = BOREL4.elements
-    felems = full_gl2(5).elements
+    generators has full order' on a mid-size truncation, and on three
+    more: two factors through det (5 and 7), GL2(Z/25) through det, and
+    the mod-5 Borel group as a prime part, through the generic route."""
     bgens = [g.entries for g in BOREL4.generators]
-    fgens = [(1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1)]
-    surjective_seen = 0
-    for trial in range(150):
-        gens = []
-        if trial % 3 == 0:
-            # bias towards surjective sets: factor generators with
-            # random companions on the other side
-            for t in bgens:
-                gens.append(crt_combine(RM(t, 4), RM(rng.choice(felems), 5)))
-            for t in fgens:
-                gens.append(crt_combine(RM(rng.choice(belems), 4), RM(t, 5)))
-            k = rng.randrange(0, 2)
-        else:
-            k = rng.randrange(1, 4)
-        for _ in range(k):
-            gens.append(crt_combine(RM(rng.choice(belems), 4),
-                                    RM(rng.choice(felems), 5)))
-        verdict = surjectivity_check(G, gens)
-        full = closure(gens).order == G.order
-        assert (verdict.kind == "Surjective") == full, (trial, verdict)
-        surjective_seen += verdict.kind == "Surjective"
-    assert surjective_seen >= 10
+    cases = (
+        (TruncatedAdelicGroup.with_full_primes(BOREL4, (5,)), 150, 10,
+         [bgens, [(1, 1, 0, 1), (0, 4, 1, 0), (2, 0, 0, 1)]]),
+        (TruncatedAdelicGroup.with_full_primes(TRIVIAL, (5, 7)), 6, 1,
+         [full_gl2(5).generator_tuples, full_gl2(7).generator_tuples]),
+        (TruncatedAdelicGroup(BOREL4, (full_gl2(25),)), 30, 1,
+         [bgens, full_gl2(25).generator_tuples]),
+        (TruncatedAdelicGroup(BOREL4, (BOREL5,)), 90, 1,
+         [bgens, BOREL5.generator_tuples]),
+    )
+    for seed, (G, trials, least, factor_gens) in enumerate(cases, 61):
+        rng = random.Random(seed)
+        factors = [fac for _, fac in G.factors]
+        elems = [sorted(fac.elements) for fac in factors]
+
+        def combine(parts):
+            h = RM(parts[0], factors[0].modulus)
+            for t, fac in zip(parts[1:], factors[1:]):
+                h = crt_combine(h, RM(t, fac.modulus))
+            return h
+
+        surjective_seen = 0
+        for trial in range(trials):
+            gens = []
+            if trial % 3 == 0:
+                # bias towards surjective sets: factor generators with
+                # random companions in the other factors
+                for i, fgens in enumerate(factor_gens):
+                    for t in fgens:
+                        gens.append(combine([
+                            t if j == i else rng.choice(e)
+                            for j, e in enumerate(elems)]))
+                k = rng.randrange(0, 2)
+            else:
+                k = rng.randrange(1, 4)
+            for _ in range(k):
+                gens.append(combine([rng.choice(e) for e in elems]))
+            verdict = surjectivity_check(G, gens)
+            full = closure(gens).order == G.order
+            assert (verdict.kind == "Surjective") == full, (seed, trial,
+                                                            verdict)
+            surjective_seen += verdict.kind == "Surjective"
+        assert least <= surjective_seen < trials, (G.modulus,
+                                                   surjective_seen)
 
 
 def test_fails_projection_factor_named():
@@ -216,40 +241,57 @@ def legendre(a):
     return pow(a % 5, 2, 5) == 1 or a % 5 == 0
 
 
+def _det_sign(m, ok):
+    """+1 on the matrices mod m whose det mod m passes ``ok``, else -1."""
+    return lambda t: 1 if ok((t[0] * t[3] - t[1] * t[2]) % m) else -1
+
+
 def test_coupled_fiber_fails_abelian_quotient():
     """The fiber {(g1, g2) : det g1 = 1 mod 4 <=> det g2 is a square
-    mod 5} projects onto both factors but misses the abelianization."""
-    m4 = full_gl2(4)
-    g5 = full_gl2(5)
-    G = TruncatedAdelicGroup(m4, (g5,))
+    mod 5} projects onto both factors but misses the abelianization.
+    So do the fibers of four more sign pairs, one per route: dets coupled
+    across two det-route factors (5 and 7) and across GL2(Z/25) and the
+    mod-4 Borel group, the sign of S3 = GL2(F_2) (no det character)
+    against a square det mod 5, and a square top-left entry in the mod-5
+    Borel group (not a function of det) against det = 1 mod 4."""
+    square5 = _det_sign(5, lambda d: pow(d, 2, 5) == 1)
+    cases = (
+        (TruncatedAdelicGroup(full_gl2(4), (full_gl2(5),)),
+         _det_sign(4, lambda d: d == 1), square5),
+        (TruncatedAdelicGroup.with_full_primes(TRIVIAL, (5, 7)),
+         square5, _det_sign(7, lambda d: pow(d, 3, 7) == 1)),
+        (TruncatedAdelicGroup(BOREL4, (full_gl2(25),)),
+         _det_sign(4, lambda d: d == 1),
+         _det_sign(25, lambda d: pow(d, 2, 5) == 1)),
+        (TruncatedAdelicGroup.with_full_primes(TRIVIAL, (2, 5)),
+         lambda t: -1 if t in ((0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1))
+         else 1, square5),
+        (TruncatedAdelicGroup(BOREL4, (BOREL5,)),
+         _det_sign(4, lambda d: d == 1),
+         lambda t: 1 if pow(t[0], 2, 5) == 1 else -1),
+    )
 
-    def sign4(t):
-        return 1 if (t[0] * t[3] - t[1] * t[2]) % 4 == 1 else -1
+    def partners(fac, sign):
+        """A non-identity element of each sign."""
+        return {s: next(t for t in fac.elements if sign(t) == s
+                        and t != (1, 0, 0, 1)) for s in (1, -1)}
 
-    def sign5(t):
-        d = (t[0] * t[3] - t[1] * t[2]) % 5
-        return 1 if pow(d, 2, 5) == 1 else -1
-
-    sq5 = next(t for t in g5.elements if sign5(t) == 1 and
-               t != (1, 0, 0, 1))
-    nsq5 = next(t for t in g5.elements if sign5(t) == -1)
-    pos4 = next(t for t in m4.elements if sign4(t) == 1 and
-                t != (1, 0, 0, 1))
-    neg4 = next(t for t in m4.elements if sign4(t) == -1)
-
-    gens = []
-    for g in m4.generators:
-        partner = sq5 if sign4(g.entries) == 1 else nsq5
-        gens.append(crt_combine(g, RM(partner, 5)))
-    for g in g5.generators:
-        partner = pos4 if sign5(g.entries) == 1 else neg4
-        gens.append(crt_combine(RM(partner, 4), g))
-    for h in gens:  # all generators really lie on the fiber
-        assert sign4(h.reduce_mod(4).entries) == sign5(h.reduce_mod(5).entries)
-    v = surjectivity_check(G, gens)
-    assert v.kind == "FailsAbelianQuotient"
-    # sanity: the subgroup H is index 2, so it fails the direct test too
-    assert closure(gens).order * 2 == G.order
+    for G, sign1, sign2 in cases:
+        (_, f1), (_, f2) = G.factors
+        m1, m2 = f1.modulus, f2.modulus
+        p1, p2 = partners(f1, sign1), partners(f2, sign2)
+        gens = []
+        for g in f1.generators:
+            gens.append(crt_combine(g, RM(p2[sign1(g.entries)], m2)))
+        for g in f2.generators:
+            gens.append(crt_combine(RM(p1[sign2(g.entries)], m1), g))
+        for h in gens:  # all generators really lie on the fiber
+            assert sign1(h.reduce_mod(m1).entries) == \
+                sign2(h.reduce_mod(m2).entries)
+        v = surjectivity_check(G, gens)
+        assert v.kind == "FailsAbelianQuotient", G.modulus
+        # sanity: the subgroup H is index 2, so it fails the direct test
+        assert closure(gens).order * 2 == G.order, G.modulus
 
 
 def test_repr():
