@@ -6,8 +6,10 @@ beyond Q, the quartic x^4 + p x^2 + q degree/intersection classifier, and
 a small condition expression language with a JSON schema and a traced
 evaluator.
 
-Everything is exact over int and Fraction.  Integers are factored by the
-package's one factorizer, matgroup._prime_factors.
+Everything is exact over int and Fraction: leaf polynomials have integer
+coefficients and are evaluated at v = a/b by homogeneous integer Horner
+(ratfunc._peval).  Integers are factored by the package's one
+factorizer, matgroup._prime_factors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    AimgError,
     DegenerateQuartic,
     SchemaError,
     ZeroInput,
@@ -321,7 +324,7 @@ def eval_condition(cond: VCondition, v, J: RationalMap = None
     for leaf in cond.leaves:
         try:
             verdict, reason = _eval_leaf(leaf, v)
-        except Exception as e:  # leaf errors surface as failures
+        except AimgError as e:  # input errors surface as failures
             verdict, reason = False, f"{type(e).__name__}: {e}"
         trace.append((leaf.describe(), verdict, reason))
         ok = ok and verdict

@@ -975,9 +975,6 @@ class AbelianHom:
             out = self.target.add(out, self.target.scale(k, img))
         return out
 
-    def is_trivial(self) -> bool:
-        return all(img == self.target.identity for img in self.images)
-
 
 def enumerate_homs(A: FiniteAbelianGroup, Q: FiniteAbelianGroup):
     """All homomorphisms A -> Q; count = prod gcd(d_i, e_j)."""

@@ -157,12 +157,6 @@ class OpenSubgroup:
             L, gens,
             self.mod_level_group().order * gl2_order(L) // gl2_order(m))
 
-    def index_in_gl2(self) -> int:
-        return gl2_order(self.level) // self.mod_level_group().order
-
-    def contains_minus_i(self) -> bool:
-        return ResidueMatrix(self.level, -1, 0, 0, -1) in self.mod_level_group()
-
     def with_minus_i(self) -> "OpenSubgroup":
         """±G: G with -I appended to its generators above level 1, where
         the generator is redundant when G holds -I already; G is not
@@ -318,7 +312,8 @@ def _part_data(G: OpenSubgroup, L: int):
 @lru_cache(maxsize=None)
 def _full_factor_commutator(ell: int):
     """_part_data of a full GL2(Z_ell) factor at ell^2, which holds its
-    commutator by the lemma in commutator_open (GL2(Z_ell) ⊇ K_1)."""
+    commutator by the lemma in commutator_open (GL2(Z_ell) ⊇ K_1).  At
+    odd ell that part is level 1 and index 1, so only ell = 2 is read."""
     return _part_data(OpenSubgroup.full(), ell * ell)
 
 
@@ -335,12 +330,20 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     h^ell = I + ell^(k+1) Z mod ell^(k+2) (for ell = 2 as 2k >= k + 2), so
     C fills every SL2 layer above, and C is closed.
 
+    Lemma (odd ell): [GL2(Z/ell^k), GL2(Z/ell^k)] = SL2(Z/ell^k).  The
+    commutator of diag(-1, 1) and [[1, b], [0, 1]] is [[1, -2b], [0, 1]],
+    and -2 is a unit, so every upper elementary matrix is a commutator;
+    likewise below the diagonal; and elementary matrices generate SL2
+    over the local ring Z/ell^k.  Passing to the limit, [GL2(Z_ell),
+    GL2(Z_ell)] = SL2(Z_ell) for odd ell.
+
     G, m its least level, contains K(m), so G = G_m x prod_{ell ∤ m}
     GL2(Z_ell) and [G, G] is the product of the factors' commutators:
-    [G_m, G_m] holds SL2 ∩ K(m^2), and [GL2(Z_ell), GL2(Z_ell)] holds
-    SL2 ∩ K(ell^2) for ell = 2, 3 (GL2(Z_ell) ⊇ K_1) and is SL2(Z_ell) for
-    ell >= 5.  So each part is the SL2-preimage of its derived image D(L)
-    at L = m^2 or ell^2, and its index is read off D(L).  (2) only runs
+    [G_m, G_m] holds SL2 ∩ K(m^2), [GL2(Z_2), GL2(Z_2)] holds
+    SL2 ∩ K(4) (GL2(Z_2) ⊇ K_1), and [GL2(Z_ell), GL2(Z_ell)] is
+    SL2(Z_ell) for odd ell, a part of level 1 and index 1.  So each
+    remaining part is the SL2-preimage of its derived image D(L) at
+    L = m^2 or 4, and its index is read off D(L).  (2) only runs
     from k >= 2, so the 2-exponent-1 case, where (I + 2X)^2 =
     I + 4(X + X^2) (see finite_image), never arises.  The parts sit at
     coprime levels, so [G, G] is their product: each is presented at its
@@ -351,7 +354,8 @@ def commutator_open(G: OpenSubgroup) -> CommutatorResult:
     full_det = det_image(Gm).full
 
     parts = [_part_data(Gm, m * m)] if m > 1 else []
-    parts += [_full_factor_commutator(ell) for ell in (2, 3) if m % ell]
+    if m % 2:
+        parts.append(_full_factor_commutator(2))
     index = math.prod(idx for _, idx in parts)
     imgs = [img for img, _ in parts]
     lvl = math.prod(img.modulus for img in imgs)

@@ -1,10 +1,13 @@
 """Exact rational-function calculus over Q, plus the pi_i / pi_{i,v} map
 catalog.
 
-Polynomials are coefficient tuples in ascending order (index = power of
-t).  A RationalMap is a reduced fraction of integer polynomials with the
+Polynomials are integer coefficient tuples in ascending order (index =
+power of t), and every operation stays in Z[t]: gcds by pseudo-remainders,
+exact division by Gauss's lemma, and a fraction-free linear solver.  A
+RationalMap is a reduced fraction of integer polynomials with the
 denominator's leading coefficient positive and unit joint content, so
-structural equality is equality of functions.
+structural equality is equality of functions.  Fraction holds only point
+values: evaluations, fibers and rational inputs (from_fractions).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-# --- polynomial helpers (ascending Fraction tuples) ---
+# --- polynomial helpers (ascending integer tuples) ---
 
 def _trim(p):
     p = list(p)
@@ -64,7 +67,7 @@ def _trim(p):
 
 
 def _padd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
+    out = [0] * max(len(p), len(q))
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -72,14 +75,10 @@ def _padd(p, q):
     return _trim(out)
 
 
-def _pscale(p, k):
-    return _trim([c * k for c in p])
-
-
 def _pmul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -88,61 +87,60 @@ def _pmul(p, q):
     return _trim(out)
 
 
-def _ppow(p, k):
-    out = (Fraction(1),)
-    for _ in range(k):
-        out = _pmul(out, p)
-    return out
+def _primitive(p):
+    """p divided by its content, the sign kept."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else list(p)
 
 
-def _peval(p, x):
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def _pdivmod(p, q):
+def _prem(p, q):
+    """A pseudo-remainder of p by q: p times a power of lc(q), mod q."""
     p = list(p)
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q) and any(c != 0 for c in p):
-        while p and p[-1] == 0:
-            p.pop()
-        if len(p) < len(q):
-            break
-        k = len(p) - len(q)
-        c = p[-1] / q[-1]
-        out[k] = c
+    while len(p) >= len(q):
+        c, k = p[-1], len(p) - len(q)
+        p = [q[-1] * a for a in p]
         for i, b in enumerate(q):
             p[i + k] -= c * b
-        p.pop()
-    return _trim(out), _trim(p)
-
-
-def _pgcd(p, q):
-    p, q = _trim(p), _trim(q)
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if p:
-        p = _pscale(p, 1 / p[-1])  # monic
+        p = list(_trim(p))
     return p
 
 
-def _to_integer_pair(num, den):
-    """Clear denominators and joint content; make den leading coeff > 0."""
-    denoms = [c.denominator for c in num + den] or [1]
-    lcm = math.lcm(*denoms)
-    ni = [int(c * lcm) for c in num]
-    di = [int(c * lcm) for c in den]
-    g = math.gcd(*(abs(c) for c in ni + di)) or 1
-    ni = [c // g for c in ni]
-    di = [c // g for c in di]
-    sign = 1
-    if di and di[-1] < 0:
-        sign = -1
-    elif not di and ni and ni[-1] < 0:
-        sign = -1
-    return tuple(sign * c for c in ni), tuple(sign * c for c in di)
+def _pgcd(p, q):
+    """The primitive gcd of two nonzero integer polynomials, up to sign."""
+    p, q = _primitive(p), _primitive(q)
+    while q:
+        p, q = q, _primitive(_prem(p, q))
+    return p
+
+
+def _pexquo(p, g):
+    """p / g for a primitive g dividing p over Q; by Gauss's lemma the
+    quotient is an integer polynomial, so every step divides exactly."""
+    p, out = list(p), [0] * (len(p) - len(g) + 1)
+    for k in reversed(range(len(out))):
+        out[k] = c = p[k + len(g) - 1] // g[-1]
+        for i, b in enumerate(g):
+            p[i + k] -= c * b
+    return out
+
+
+def _phom(p, a, b, d):
+    """b^d p(a/b), for a trimmed p of degree at most d, by homogeneous
+    Horner in integers."""
+    acc, bpow = 0, b ** (d + 1 - len(p))
+    for c in reversed(p):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
+
+
+def _power_table(n, d, k):
+    """[N^i D^(k-i) for i = 0..k] over Z."""
+    npow, dpow = [(1,)], [(1,)]
+    for _ in range(k):
+        npow.append(_pmul(npow[-1], n))
+        dpow.append(_pmul(dpow[-1], d))
+    return [_pmul(npow[i], dpow[k - i]) for i in range(k + 1)]
 
 
 @dataclass(frozen=True)
@@ -160,19 +158,30 @@ class RationalMap:
             raise ZeroInput("denominator is the zero polynomial")
 
     @classmethod
-    def from_fractions(cls, num, den, provenance=None) -> "RationalMap":
-        num = _trim([Fraction(c) for c in num])
-        den = _trim([Fraction(c) for c in den])
+    def reduced(cls, num, den, provenance=None) -> "RationalMap":
+        """The canonical form of num/den for integer polynomials: both
+        divided by their primitive gcd, then by their joint content, with
+        the sign that makes den's leading coefficient positive."""
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroInput("denominator is the zero polynomial")
         if not num:
             return cls((0,), (1,), provenance)
         g = _pgcd(num, den)
         if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        ni, di = _to_integer_pair(num, den)
-        return cls(ni or (0,), di, provenance)
+            num, den = _pexquo(num, g), _pexquo(den, g)
+        c = math.gcd(*num, *den)
+        c = -c if den[-1] < 0 else c
+        return cls(tuple(a // c for a in num), tuple(a // c for a in den),
+                   provenance)
+
+    @classmethod
+    def from_fractions(cls, num, den, provenance=None) -> "RationalMap":
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        lcm = math.lcm(*(c.denominator for c in num + den))
+        return cls.reduced([int(c * lcm) for c in num],
+                           [int(c * lcm) for c in den], provenance)
 
     @classmethod
     def from_coeffs(cls, num, den=(1,)) -> "RationalMap":
@@ -192,12 +201,6 @@ class RationalMap:
 
     def is_constant(self) -> bool:
         return self.degree <= 0
-
-    def fnum(self):
-        return _trim([Fraction(c) for c in self.num])
-
-    def fden(self):
-        return _trim([Fraction(c) for c in self.den])
 
     def __repr__(self):
         return f"RationalMap(num={list(self.num)}, den={list(self.den)})"
@@ -222,71 +225,74 @@ class RationalMap:
 IDENTITY_MAP = RationalMap((0, 1), (1,))
 
 
-def evaluate(f: RationalMap, x):
-    """Projective evaluation; x may be INFINITY."""
+def _proj(x):
+    """Integer homogeneous coordinates of x in P1(Q)."""
     if x is INFINITY:
-        dn, dd = f.deg_num, f.deg_den
-        if dn > dd:
-            return INFINITY
-        if dn < dd:
-            return Fraction(0)
-        return Fraction(f.num[-1], f.den[-1])
+        return (1, 0)
     x = Fraction(x)
-    n = _peval(f.fnum(), x)
-    d = _peval(f.fden(), x)
-    if d == 0:
-        return INFINITY
-    return n / d
+    return (x.numerator, x.denominator)
+
+
+def evaluate(f: RationalMap, x):
+    """Projective evaluation; x may be INFINITY.  For x = (a : b) and
+    d = deg f, f(x) = (b^d num(a/b) : b^d den(a/b))."""
+    num, den = _trim(f.num), _trim(f.den)
+    d = max(len(num), len(den)) - 1
+    a, b = _proj(x)
+    hn, hd = _phom(num, a, b, d), _phom(den, a, b, d)
+    return INFINITY if hd == 0 else Fraction(hn, hd)
+
+
+def _peval(p, x):
+    """p(x) for an integer polynomial p and a rational x."""
+    return evaluate(RationalMap(p, (1,)), x)
 
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """outer(inner(t)), exactly, in canonical form."""
-    p, q = outer.fnum(), outer.fden()
-    n, d = inner.fnum(), inner.fden()
-    D = max(len(p), len(q)) - 1
+    p, q = _trim(outer.num), _trim(outer.den)
+    table = _power_table(_trim(inner.num), _trim(inner.den),
+                         max(len(p), len(q)) - 1)
 
     def homog(coeffs):
         out = ()
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            term = _pscale(_pmul(_ppow(n, k), _ppow(d, D - k)), c)
-            out = _padd(out, term)
+        for c, b in zip(coeffs, table):
+            if c:
+                out = _padd(out, [c * x for x in b])
         return out
 
-    return RationalMap.from_fractions(homog(p), homog(q))
+    return RationalMap.reduced(homog(p), homog(q))
 
 
 def _nullspace(rows, ncols):
-    """Basis of the nullspace of a Fraction matrix (list of row tuples)."""
-    mat = [list(r) for r in rows]
+    """Basis of the nullspace of an integer matrix (a list of rows): one
+    primitive integer vector per non-pivot column c, positive at c and
+    zero at the other non-pivot columns.  Gauss-Jordan elimination runs
+    fraction-free, each row replaced by a primitive integer combination,
+    so the pivot rows span the row space with no rational entry."""
+    mat = [_primitive(r) for r in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                f, pv = row[c], top[c]
+                mat[i] = _primitive([pv * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
-        r += 1
     free = [c for c in range(ncols) if c not in pivots]
+    scale = math.lcm(*(mat[i][pc] for i, pc in enumerate(pivots)))
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = scale
         for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(tuple(v))
+            v[pc] = -mat[i][fc] * scale // mat[i][pc]
+        basis.append(tuple(_primitive(v)))
     return basis
 
 
@@ -302,41 +308,22 @@ def solve_left_factor(pi: RationalMap, u: RationalMap) -> RationalMap:
     if dpi % du != 0:
         raise DegreeMismatch(f"deg {du} does not divide deg {dpi}")
     dj = dpi // du
-    n, d = u.fnum(), u.fden()
-    # powers N^k D^(dj-k)
-    basis_polys = [_pmul(_ppow(n, k), _ppow(d, dj - k)) for k in range(dj + 1)]
-    pn, pd = pi.fnum(), pi.fden()
-    # pi.num * sum(q_k B_k) - pi.den * sum(p_k B_k) = 0
-    cols = []
-    for b in basis_polys:  # p_k coefficients
-        cols.append(_pscale(_pmul(pd, b), -1))
-    for b in basis_polys:  # q_k coefficients
-        cols.append(_pmul(pn, b))
+    # pi.num * sum(q_k B_k) - pi.den * sum(p_k B_k) = 0, B_k = N^k D^(dj-k)
+    table = _power_table(_trim(u.num), _trim(u.den), dj)
+    pn, pd = _trim(pi.num), _trim(pi.den)
+    cols = [[-c for c in _pmul(pd, b)] for b in table]  # p_k coefficients
+    cols += [_pmul(pn, b) for b in table]               # q_k coefficients
     nrows = max(len(c) for c in cols)
-    rows = [tuple(c[i] if i < len(c) else Fraction(0) for c in cols)
-            for i in range(nrows)]
+    rows = [[c[i] if i < len(c) else 0 for c in cols] for i in range(nrows)]
     for v in _nullspace(rows, len(cols)):
-        pnum = v[:dj + 1]
-        pden = v[dj + 1:]
-        if not any(pden):
-            continue
-        try:
-            J = RationalMap.from_fractions(pnum, pden)
-        except ZeroInput:
-            continue
-        if compose(J, u) == RationalMap(pi.num, pi.den):
-            return J
+        if any(v[dj + 1:]):
+            J = RationalMap.reduced(v[:dj + 1], v[dj + 1:])
+            if compose(J, u) == pi:
+                return J
     raise NoDecomposition("pi is not a rational function of u")
 
 
 # --- Moebius transformations, solved as linear systems ---
-
-def _proj(x):
-    if x is INFINITY:
-        return (Fraction(1), Fraction(0))
-    x = Fraction(x)
-    return (x, Fraction(1))
-
 
 def moebius_from_points(xs, zs):
     """The Moebius map g with g(xs[i]) = zs[i], i = 0, 1, 2, or None when
@@ -358,7 +345,7 @@ def moebius_from_points(xs, zs):
     a, b, c, d = space[0]
     if a * d == b * c:
         return None
-    return RationalMap.from_fractions((b, a), (d, c))
+    return RationalMap.reduced((b, a), (d, c))
 
 
 def moebius_equivalent(u: RationalMap, pi2: RationalMap):
@@ -415,25 +402,21 @@ def _rational_roots(coeffs):
         roots.add(Fraction(0))
     if len(p) == 1:
         return roots
+    dens = _divisors(abs(p[-1]))
     for num in _divisors(abs(p[0])):
-        for den in _divisors(abs(p[-1])):
+        for den in dens:
             if math.gcd(num, den) != 1:
                 continue
-            # s/den is a root iff den^deg p(s/den) = sum c_i s^i den^(deg-i)
-            # vanishes: homogeneous Horner in integers
+            # s/den is a root iff den^deg p(s/den) vanishes
             for s in (num, -num):
-                acc = p[-1]
-                dpow = 1
-                for c in reversed(p[:-1]):
-                    dpow *= den
-                    acc = acc * s + c * dpow
-                if acc == 0:
+                if _phom(p, s, den, len(p) - 1) == 0:
                     roots.add(Fraction(s, den))
     return roots
 
 
 def rational_fibers(f: RationalMap, j):
-    """All x in P1(Q) with f(x) = j."""
+    """All x in P1(Q) with f(x) = j; for j = a/b the finite ones are the
+    rational roots of b num - a den."""
     if f.is_constant():
         raise ZeroInput("fiber of a constant map is not finite")
     out = set()
@@ -443,7 +426,8 @@ def rational_fibers(f: RationalMap, j):
             out.add(INFINITY)
         return out
     j = Fraction(j)
-    fiber_poly = _padd(f.fnum(), _pscale(f.fden(), -j))
+    fiber_poly = _padd([j.denominator * c for c in f.num],
+                       [-j.numerator * c for c in f.den])
     if fiber_poly:
         out |= _rational_roots(fiber_poly)
     if evaluate(f, INFINITY) == j:
@@ -544,18 +528,18 @@ def instantiate(entry: MapCatalogEntry, alpha=None, v=None) -> RationalMap:
         num = entry.twisted_num(alpha, v)
         den = entry.twisted_den(alpha, v)
         prov = (entry.family_index, alpha if entry.needs_alpha else None, v)
-    num = _trim([Fraction(c) for c in num])
-    den = _trim([Fraction(c) for c in den])
+    num, den = _trim(num), _trim(den)
     if not num or not den:
         raise DegenerateSubstitution(
             "substitution killed the numerator or denominator",
             cancelled=None)
-    g = _pgcd(num, den)
     result = RationalMap.from_fractions(num, den, provenance=prov)
-    if len(g) > 1:
+    # reducing divides num and den by their gcd, so deg drops by its degree
+    cancelled = max(len(num), len(den)) - 1 - result.degree
+    if cancelled:
         raise DegenerateSubstitution(
             f"numerator and denominator share a factor of degree "
-            f"{len(g) - 1}", cancelled=result)
+            f"{cancelled}", cancelled=result)
     if result.degree != entry.base_degree:
         raise DegenerateSubstitution(
             f"degree dropped to {result.degree} "

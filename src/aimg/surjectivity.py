@@ -178,12 +178,11 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     the eta(h) of H's generators and the d_j e_j is all of Z^r, that is
     when its index, the product of the pivots of its Hermite form, is 1.
 
-    A full GL2(Z/l^k) factor F with l >= 5 goes through det: SL2(Z_l) is
-    perfect for l >= 5 (see commutator_open), so [F, F] = SL2(Z/l^k),
-    F/[F, F] = (Z/l^k)^x through det, and eta is the unit log of det.
-    The M-part, factors at l = 2 and 3 (SL2(Z_l) is not perfect there,
-    and [F, F] has index 2 in SL2 at l = 2) and proper subgroups go
-    through derived_subgroup and quotient_group.
+    A full GL2(Z/l^k) factor F with l odd goes through det: [F, F] =
+    SL2(Z/l^k) for odd l (the lemma in commutator_open), so F/[F, F] =
+    (Z/l^k)^x through det, and eta is the unit log of det.  The M-part,
+    factors at l = 2 ([F, F] has index 2 in SL2 there) and proper
+    subgroups go through derived_subgroup and quotient_group.
     """
     N = G.modulus
     for h in h_gens:
@@ -191,12 +190,17 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
             raise NotASubgroup(
                 f"generator modulus {h.modulus} != truncation modulus {N}")
 
-    # factor projections
+    # factor projections; a factor recorded as all of GL2(Z/m) (full_gl2
+    # records its order) holds exactly the invertible matrices, so it is
+    # never materialized, and any other factor is materialized before its
+    # order is read, as counting it would cost more at small moduli
     for name, fac in G.factors:
         m = fac.modulus
         proj = [h.reduce_mod(m) for h in h_gens]
+        full = fac._order == gl2_order(m)
         for g in proj:
-            if g.entries not in fac.element_set:
+            if (math.gcd(tdet(g.entries, m), m) != 1 if full
+                    else g.entries not in fac.element_set):
                 raise NotASubgroup(
                     f"generator {g} lies outside the {name}-factor")
         # a proper subgroup has at most half the factor's elements, so a
@@ -212,7 +216,7 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     invariants, etas = [], []
     for name, fac in G.factors:
         m = fac.modulus
-        if name != "M" and name >= 5 and fac.order == gl2_order(m):
+        if name != "M" and name % 2 and fac.order == gl2_order(m):
             Q = unit_group(m)
             eta = lambda x, m=m, Q=Q: Q.log(tdet(x, m))
         else:

@@ -252,6 +252,31 @@ def test_eval_condition_leaf_error_becomes_failure():
     assert not res.ok
 
 
+def test_eval_condition_leaf_package_error_is_a_failed_row(monkeypatch):
+    import aimg.arithcond as arithcond
+
+    def planted(q):
+        raise ZeroInput("planted")
+
+    monkeypatch.setattr(arithcond, "squarefree_part", planted)
+    cond = parse_vcondition({"all": [{"kind": "squarefree_not_pm1"}]})
+    res = eval_condition(cond, 5)
+    assert not res.ok
+    assert res.trace == [("squarefree_not_pm1", False, "ZeroInput: planted")]
+
+
+def test_eval_condition_leaf_programming_error_propagates(monkeypatch):
+    import aimg.arithcond as arithcond
+
+    def broken(q):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(arithcond, "squarefree_part", broken)
+    cond = parse_vcondition({"all": [{"kind": "squarefree_not_pm1"}]})
+    with pytest.raises(TypeError, match="planted"):
+        eval_condition(cond, 5)
+
+
 def test_cubic_proxy_leaf():
     # x^3 - v: irreducible unless v is a cube
     cond = parse_vcondition({"all": [

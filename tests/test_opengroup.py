@@ -55,8 +55,9 @@ def test_full_group_images():
     G = OpenSubgroup.full()
     for L in (1, 2, 3, 4, 5, 6, 8):
         assert G.finite_image(L).order == gl2_order(L)
-    assert G.index_in_gl2() == 1
-    assert G.contains_minus_i()
+    top = G.mod_level_group()
+    assert gl2_order(G.level) // top.order == 1
+    assert (G.level - 1, 0, 0, G.level - 1) in top.element_set
 
 
 def test_full_gl2_and_sl2_close_to_their_recorded_orders():
@@ -214,6 +215,14 @@ def test_full_factor_commutator_matches_brute_force(ell, u):
     assert {t for t in sl2_elements(n)
             if tuple(v % c for v in t) in image} == want
     assert index == len(sl2_elements(n)) // len(want)
+
+
+def test_gl2_commutator_is_sl2_exactly_at_odd_prime_powers():
+    # the odd-ell lemma in commutator_open; at 2^k the index is 2
+    for q in (3, 9, 27, 5, 25, 7, 49):
+        assert derived_subgroup(full_gl2(q)).order == sl2_order(q)
+    for q in (2, 4, 8):
+        assert derived_subgroup(full_gl2(q)).order * 2 == sl2_order(q)
 
 
 def test_commutator_of_sl2_preimage_mod3():

@@ -19,6 +19,7 @@ from aimg.ratfunc import (
     IDENTITY_MAP,
     INFINITY,
     RationalMap,
+    _nullspace,
     _rational_roots,
     compose,
     evaluate,
@@ -62,6 +63,71 @@ def test_canonical_form_invariants():
         assert sympy.gcd(num, den) == 1
 
 
+def sympy_canonical(num, den):
+    """(num, den) of the reduced form of num/den by sympy.cancel, cleared
+    of denominators and joint content, with den's leading coefficient
+    positive."""
+    expr = sympy.cancel(sum(sympy.Rational(c) * T ** k
+                            for k, c in enumerate(num))
+                        / sum(sympy.Rational(c) * T ** k
+                              for k, c in enumerate(den)))
+    p, q = (sympy.Poly(x, T, domain="QQ").all_coeffs()[::-1]
+            for x in sympy.fraction(expr))
+    lcm = sympy.ilcm(*(c.q for c in p + q))
+    p, q = [int(c * lcm) for c in p], [int(c * lcm) for c in q]
+    g = math.gcd(*p, *q) * (1 if q[-1] > 0 else -1)
+    return tuple(c // g for c in p), tuple(c // g for c in q)
+
+
+def test_canonical_form_matches_sympy_cancel():
+    # rational coefficients up to 10^6, with a planted common factor of
+    # degree 0 to 2
+    rng = random.Random(59)
+
+    def poly(hi):
+        return [Fraction(rng.randrange(-hi, hi + 1), rng.randrange(1, 7))
+                for _ in range(rng.randrange(1, 4))]
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    for trial in range(80):
+        hi = 10 ** 6 if trial % 2 else 9
+        a, b, c = poly(hi), poly(hi), poly(30)
+        if not any(b) or not any(c):
+            continue
+        num, den = times(a, c), times(b, c)
+        f = RationalMap.from_fractions(num, den)
+        assert (f.num, f.den) == sympy_canonical(num, den), (num, den)
+
+
+def test_nullspace_matches_sympy():
+    # the same span as sympy's nullspace, as primitive integer vectors
+    rng = random.Random(61)
+    for _ in range(150):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 8)
+        rows = [[rng.randrange(-6, 7) * rng.choice((1, 1, 10 ** 5))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:  # plant a dependent row
+            k = rng.randrange(-3, 4)
+            rows.append([x + k * y for x, y in zip(rows[0], rows[1])])
+        got = _nullspace(rows, ncols)
+        want = sympy.Matrix(rows).nullspace()
+        assert len(got) == len(want)
+        for v in got:
+            assert all(isinstance(x, int) for x in v)
+            assert math.gcd(*v) == 1
+            assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
+        if want:
+            span = sympy.Matrix.hstack(*want)
+            assert span.rank() == sympy.Matrix.hstack(
+                span, *(sympy.Matrix(v) for v in got)).rank()
+
+
 def test_from_fractions_clears_denominators():
     f = RationalMap.from_fractions(
         (Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(0)))
@@ -83,6 +149,18 @@ def test_evaluate_matches_sympy():
             assert got is INFINITY
         else:
             assert got == num_val / den_val
+
+
+def test_evaluate_untrimmed_map():
+    # a map built directly from untrimmed tuples: 1 = (1 + 0 t)/1 and
+    # t/2 = (0 + t + 0 t^2)/(2 + 0 t)
+    one = RationalMap((1, 0), (1,))
+    half = RationalMap((0, 1, 0), (2, 0))
+    for x in (Fraction(2), Fraction(-3, 5)):
+        assert evaluate(one, x) == 1
+        assert evaluate(half, x) == x / 2
+    assert evaluate(one, INFINITY) == 1
+    assert evaluate(half, INFINITY) is INFINITY
 
 
 def test_evaluate_at_infinity():
@@ -248,13 +326,22 @@ def test_rational_fibers_matches_sympy():
         assert rational_fibers(f, j) == fibers_oracle(f, j), (f, j)
 
 
+BIG = st.sampled_from([1, 999983, 1000003, 10 ** 6, 2 ** 10 * 3 ** 7])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(base=st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any),
        planted=st.lists(st.builds(Fraction, st.integers(-12, 12),
                                   st.integers(1, 6)),
-                        min_size=1, max_size=3))
-def test_rational_roots_finds_planted_roots(base, planted):
-    # base * prod (den t - num) over the planted roots num/den
+                        min_size=1, max_size=3),
+       big=st.one_of(st.none(),
+                     st.builds(lambda s, a, b: Fraction(s * a, b),
+                               st.sampled_from((1, -1)), BIG, BIG)))
+def test_rational_roots_finds_planted_roots(base, planted, big):
+    # base * prod (den t - num) over the planted roots num/den, one of
+    # them with numerator and denominator up to about 2 * 10^6
+    if big is not None:
+        planted = planted + [big]
     poly = list(base)
     for r in planted:
         out = [0] * (len(poly) + 1)

@@ -159,9 +159,10 @@ TRIVIAL = FiniteMatrixGroup(1, ())
 
 def test_random_trials_match_direct_closure():
     """Exhaustive comparison with 'H equals G iff the closure of the
-    generators has full order' on a mid-size truncation, and on three
-    more: two factors through det (5 and 7), GL2(Z/25) through det, and
-    the mod-5 Borel group as a prime part, through the generic route."""
+    generators has full order' on a mid-size truncation, and on five
+    more: two factors through det (5 and 7), GL2(Z/25) through det, the
+    mod-5 Borel group as a prime part, through the generic route, and
+    GL2(Z/3) and GL2(Z/9), through det by the odd-ell lemma."""
     bgens = [g.entries for g in BOREL4.generators]
     cases = (
         (TruncatedAdelicGroup.with_full_primes(BOREL4, (5,)), 150, 10,
@@ -172,6 +173,10 @@ def test_random_trials_match_direct_closure():
          [bgens, full_gl2(25).generator_tuples]),
         (TruncatedAdelicGroup(BOREL4, (BOREL5,)), 90, 1,
          [bgens, BOREL5.generator_tuples]),
+        (TruncatedAdelicGroup.with_full_primes(BOREL4, (3,)), 90, 1,
+         [bgens, full_gl2(3).generator_tuples]),
+        (TruncatedAdelicGroup(BOREL4, (full_gl2(9),)), 45, 1,
+         [bgens, full_gl2(9).generator_tuples]),
     )
     for seed, (G, trials, least, factor_gens) in enumerate(cases, 61):
         rng = random.Random(seed)
@@ -207,6 +212,22 @@ def test_random_trials_match_direct_closure():
             surjective_seen += verdict.kind == "Surjective"
         assert least <= surjective_seen < trials, (G.modulus,
                                                    surjective_seen)
+
+
+def test_full_gl2_factor_is_not_materialized():
+    # membership in a full GL2 factor is invertibility, so a surjective
+    # call never builds GL2(Z/25)'s 300,000 elements
+    gl25 = full_gl2.__wrapped__(25)
+    G = TruncatedAdelicGroup(BOREL4, (gl25,))
+    gens = [crt_combine(g, RM((1, 0, 0, 1), 25)) for g in BOREL4.generators]
+    gens += [crt_combine(RM((1, 0, 0, 1), 4), g) for g in gl25.generators]
+    assert surjectivity_check(G, gens) == SurjectivityVerdict("Surjective")
+    assert gl25._elements is None
+    # a projection that is not invertible mod 25 lies outside the factor
+    bad = crt_combine(RM((1, 0, 0, 1), 4), RM((5, 0, 0, 1), 25))
+    with pytest.raises(NotASubgroup):
+        surjectivity_check(G, gens + [bad])
+    assert gl25._elements is None
 
 
 def test_fails_projection_factor_named():
