@@ -303,7 +303,7 @@ class _Closure:
         n = self.n
         room = self.cap - len(self.elems)
         # tmul inlined, x unpacked once: this loop is most of the cost of
-        # every closure, genus's H (through intersect_sl2) included
+        # every closure, intersect_sl2's included
         e, f, g, h = x
         coset = [((a * e + b * g) % n, (a * f + b * h) % n,
                   (c * e + d * g) % n, (c * f + d * h) % n)

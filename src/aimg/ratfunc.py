@@ -387,7 +387,12 @@ def moebius_equivalent(u: RationalMap, pi2: RationalMap):
 
 
 def _rational_roots(coeffs):
-    """Rational roots of a polynomial with rational ascending coeffs."""
+    """Rational roots of a polynomial with rational ascending coeffs.
+
+    A root s/d in lowest terms of the integer polynomial p has s | p(0)
+    and d | its leading coefficient, and p = (d x - s) q with q in Z[x]
+    (Gauss's lemma), so d - s divides p(1) and d + s divides p(-1); a
+    candidate failing either is not evaluated."""
     p = _trim(coeffs)
     if not p:
         raise ZeroInput("zero polynomial has every rational as a root")
@@ -402,6 +407,11 @@ def _rational_roots(coeffs):
         roots.add(Fraction(0))
     if len(p) == 1:
         return roots
+    at_one, at_minus_one = sum(p), sum(p[::2]) - sum(p[1::2])
+
+    def divides(m, x):
+        return x % m == 0 if m else x == 0
+
     dens = _divisors(abs(p[-1]))
     for num in _divisors(abs(p[0])):
         for den in dens:
@@ -409,7 +419,8 @@ def _rational_roots(coeffs):
                 continue
             # s/den is a root iff den^deg p(s/den) vanishes
             for s in (num, -num):
-                if _phom(p, s, den, len(p) - 1) == 0:
+                if (divides(den - s, at_one) and divides(den + s, at_minus_one)
+                        and _phom(p, s, den, len(p) - 1) == 0):
                     roots.add(Fraction(s, den))
     return roots
 

@@ -9,6 +9,8 @@ import pytest
 
 from aimg.cli import main
 
+from oracle_helpers import x0_genus
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -125,17 +127,17 @@ def test_cap_order_flag(capsys, tmp_path, monkeypatch):
     assert os.environ["AIMG_CAP_ORDER"] == "123456"
 
 
-def test_genus_sl2_closure_respects_the_cap(capsys, tmp_path):
-    # the SL2-part of ±Gamma0(720) is the one group genus closes; it
-    # passes 100,000 elements, and the closure stops at the cap
+def test_genus_runs_past_the_cap_at_x0_720(capsys, tmp_path):
+    # the SL2-part of ±Gamma0(720) has 138,240 elements, past the cap;
+    # genus never closes it, and its orbit chain walks 192 points
     units = [u for u in range(1, 720) if math.gcd(u, 720) == 1]
     gens = [[1, 1, 0, 1]] + [[u, 0, 0, 1] for u in units] + \
         [[1, 0, 0, u] for u in units]
     grp = write_json(tmp_path, "g.json", {"level": 720, "gens": gens})
-    code, _, err = run(capsys, "--cap-order", "100000", "genus",
+    code, out, _ = run(capsys, "--cap-order", "100000", "genus",
                        "--group", grp)
-    assert code == 1
-    assert "error: ResourceExceeded" in err
+    assert code == 0
+    assert json.loads(out)["genus"] == x0_genus(720) == 121
 
 
 def test_surjectivity(capsys, tmp_path):

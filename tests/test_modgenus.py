@@ -5,12 +5,18 @@ its per-prime-power class functions against brute force over SL2(Z/N)."""
 import math
 import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from aimg import matgroup, modgenus, opengroup
+from aimg.errors import ResourceExceeded
 from aimg.matgroup import FiniteMatrixGroup, all_subgroups_up_to_conjugacy
 from aimg.modgenus import (
     _centralizer_orders,
     _class_sums,
     _classes,
     _fixed_vectors,
+    _orbit_chain,
     coset_action,
     genus,
 )
@@ -147,11 +153,89 @@ def test_x0_x1_closed_forms():
 
 
 def test_genus_never_closes_the_whole_group(monkeypatch):
-    # G(120) and SL2(Z/120) are far above the cap; the SL2-parts of
-    # +-Gamma0(120) and +-Gamma1(120) (3840 and 240 elements) are not
+    # genus counts H from the orbit chain and closes no group: with every
+    # closure and intersect_sl2 made to fail, and G(120) and SL2(Z/120)
+    # far above the cap, the curves still come out
+    def refuse(*args, **kwargs):
+        raise AssertionError("genus closed a group")
+
     monkeypatch.setenv("AIMG_CAP_ORDER", "10000")
+    for module in (matgroup, opengroup):
+        monkeypatch.setattr(module, "_Closure", refuse)
+    for module in (opengroup, modgenus):
+        monkeypatch.setattr(module, "intersect_sl2", refuse)
     assert genus(modular_curve_group("X0", 120)).genus == 17
     assert genus(modular_curve_group("X1", 120)).genus == 289
+
+
+def test_genus_orbit_respects_the_cap(monkeypatch):
+    # the base orbit of ±GL2(F_7) is all 48 primitive vectors
+    monkeypatch.setenv("AIMG_CAP_ORDER", "20")
+    G = OpenSubgroup(7, tuple(ResidueMatrix.from_tuple(t, 7) for t in
+                              ((1, 1, 0, 1), (0, 6, 1, 0), (3, 0, 0, 1))))
+    with pytest.raises(ResourceExceeded) as exc:
+        genus(G)
+    assert 20 < exc.value.partial <= 48
+
+
+def random_gl2(rng, n):
+    while True:
+        x = tuple(rng.randrange(n) for _ in range(4))
+        if math.gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
+            return x
+
+
+@st.composite
+def chain_groups(draw):
+    """(n, generators) at n <= 36: a few random elements of GL2(Z/n) for
+    n <= 12, else upper triangular ones whose diagonal may lie in the
+    squares (det in a proper subgroup) and whose corner is a multiple of
+    a divisor b of n (b0 > 1); with a unipotent [[1, b], [0, 1]] or not
+    (conjugated among random elements), and conjugated as a whole or
+    not."""
+    n = draw(st.integers(2, 36))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    b = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    if draw(st.booleans()):
+        units = sorted({u * u % n for u in units})
+    generic = n <= 12 and draw(st.booleans())
+    if generic:
+        gens = [random_gl2(rng, n) for _ in range(rng.randint(1, 3))]
+    else:
+        gens = [(rng.choice(units), b * rng.randrange(n) % n, 0,
+                 rng.choice(units)) for _ in range(rng.randint(1, 3))]
+    if draw(st.booleans()):
+        # conjugated only among generic elements, so the group stays small
+        x = random_gl2(rng, n) if generic else (1, 0, 0, 1)
+        gens.append(mat_mul(mat_mul(x, (1, b % n, 0, 1), n),
+                            mat_inv(x, n), n))
+    if draw(st.booleans()):
+        x = random_gl2(rng, n)
+        gens = [mat_mul(mat_mul(x, g, n), mat_inv(x, n), n) for g in gens]
+    return n, gens
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(group=chain_groups())
+# base point e1, Stab(e1) = <T^3>: b0 = 3 and det Stab(e1) = {1}
+@example(group=(9, [(1, 3, 0, 1), (4, 0, 0, 7)]))
+# base point from T, Stab(e1) = <T>: det Stab(e1) = {1} in (Z/7)^x
+@example(group=(7, [(1, 1, 0, 1), (2, 0, 0, 1)]))
+def test_orbit_chain_matches_brute_force(group):
+    # |H| from the chain against a BFS closure of ±G, and the genus
+    # breakdown against the explicit coset permutations of that H
+    n, gens = group
+    minus_i = (n - 1, 0, 0, n - 1)
+    h = [g for g in bfs_closure(gens + [minus_i], n)
+         if (g[0] * g[3] - g[1] * g[2]) % n == 1]
+    G = OpenSubgroup(n, tuple(ResidueMatrix.from_tuple(g, n) for g in gens))
+    fibers, b0 = _orbit_chain(
+        G.with_minus_i().mod_level_group().generator_tuples, n)
+    assert len(fibers) * n // b0 == len(h), group
+    gd = genus(G)
+    assert (gd.degree, gd.e2, gd.e3, gd.e_inf) == \
+        permutation_breakdown(*coset_permutations(h, n)), group
 
 
 def test_x0_x1_breakdown_matches_classical_counts():

@@ -355,6 +355,34 @@ def test_rational_roots_finds_planted_roots(base, planted, big):
         assert sum(c * r ** i for i, c in enumerate(poly)) == 0, (poly, r)
 
 
+SMOOTH = st.sampled_from([1, 720, 5040, 2 ** 10 * 3 ** 6 * 5 ** 3])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(base=st.lists(st.integers(-20, 20), min_size=1, max_size=3).filter(any),
+       planted=st.lists(st.builds(lambda s, a, b: Fraction(s * a, b),
+                                  st.sampled_from((1, -1)), SMOOTH, SMOOTH),
+                        min_size=1, max_size=2),
+       scale=SMOOTH)
+def test_rational_roots_match_sympy_on_smooth_coefficients(base, planted,
+                                                           scale):
+    # planted roots whose numerators and denominators have many divisors,
+    # times a smooth constant, so that most candidates s/d are pruned by
+    # the p(1), p(-1) divisibility tests; sympy's factorization decides
+    poly = [scale * c for c in base]
+    for r in planted:
+        out = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            out[i] -= r.numerator * c
+            out[i + 1] += r.denominator * c
+        poly = out
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(poly)), x).factor_list()
+    want = {Fraction(-int(f.nth(0)), int(f.nth(1)))
+            for f, _ in factors if f.degree() == 1}
+    assert _rational_roots(poly) == want
+
+
 def test_family_maps_degrees():
     expected = {1: 2, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4}
     for i, deg in expected.items():
