@@ -15,7 +15,6 @@ factorizer, matgroup._prime_factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -155,10 +154,29 @@ def quartic_condition(p, q, M: int = 2) -> str:
 # --- condition expression language ---
 
 
-@dataclass(frozen=True)
 class Leaf:
-    kind: str
-    params: dict = field(default_factory=dict)
+    """One predicate of a condition: its kind and its parameters."""
+
+    def __init__(self, kind: str, params: dict | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", {} if params is None else params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
+
+    def __repr__(self):
+        return f"Leaf(kind={self.kind!r}, params={self.params!r})"
 
     def describe(self) -> str:
         if not self.params:
@@ -167,11 +185,28 @@ class Leaf:
         return f"{self.kind}({inner})"
 
 
-@dataclass(frozen=True)
 class VCondition:
     """Conjunction of leaf predicates on the parameter v."""
 
-    leaves: tuple
+    def __init__(self, leaves: tuple):
+        object.__setattr__(self, "leaves", leaves)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leaves == other.leaves
+
+    def __hash__(self):
+        return hash((self.leaves,))
+
+    def __repr__(self):
+        return f"VCondition(leaves={self.leaves!r})"
 
     def to_json_dict(self) -> dict:
         def plain(x):
@@ -241,10 +276,21 @@ def parse_vcondition(data) -> VCondition:
     return VCondition(tuple(leaves))
 
 
-@dataclass
 class ConditionResult:
-    ok: bool
-    trace: list  # (leaf description, verdict, reason)
+    """The verdict of a condition and, per leaf, the rows
+    (leaf description, verdict, reason)."""
+
+    def __init__(self, ok: bool, trace: list):
+        self.ok = ok
+        self.trace = trace
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.trace) == (other.ok, other.trace)
+
+    def __repr__(self):
+        return f"ConditionResult(ok={self.ok!r}, trace={self.trace!r})"
 
 
 def _cubic_irreducible(coeffs) -> bool:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .arithcond import ConditionResult, VCondition, eval_condition, \
     parse_vcondition
@@ -84,27 +82,90 @@ THEOREM2 = "Theorem2"
 EXCLUDED = "Excluded"
 
 
-@dataclass(frozen=True)
 class MemberData:
-    v: Fraction
-    Mv: int
-    phi_images: tuple  # image vectors of the invariant generators of A
-    conditions: Optional[VCondition] = None
+    """One catalogued family member: v, Mv, the images under phi of the
+    invariant generators of A, and the member's own conditions."""
+
+    def __init__(self, v: Fraction, Mv: int, phi_images: tuple,
+                 conditions: VCondition | None = None):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "Mv", Mv)
+        object.__setattr__(self, "phi_images", phi_images)
+        object.__setattr__(self, "conditions", conditions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.v, self.Mv, self.phi_images, self.conditions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MemberData(v={self.v!r}, Mv={self.Mv!r}, "
+                f"phi_images={self.phi_images!r}, "
+                f"conditions={self.conditions!r})")
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    label: str
-    group: OpenSubgroup
-    pi: RationalMap
-    u: RationalMap
-    J: RationalMap  # recovered, J o u = pi
-    automorphism_orders: Optional[tuple]
-    family_index: Optional[int]
-    alpha: Optional[Fraction]
-    conditions: Optional[VCondition]
-    in_exceptional_set_s: bool
-    members: tuple
+    """One catalog row: the group G, the maps pi and u, the recovered J
+    with J o u = pi, and the family data of its members."""
+
+    def __init__(self, label: str, group: OpenSubgroup, pi: RationalMap,
+                 u: RationalMap, J: RationalMap,
+                 automorphism_orders: tuple | None,
+                 family_index: int | None, alpha: Fraction | None,
+                 conditions: VCondition | None, in_exceptional_set_s: bool,
+                 members: tuple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "automorphism_orders", automorphism_orders)
+        object.__setattr__(self, "family_index", family_index)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "in_exceptional_set_s",
+                           in_exceptional_set_s)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.label, self.group, self.pi, self.u, self.J,
+                self.automorphism_orders, self.family_index, self.alpha,
+                self.conditions, self.in_exceptional_set_s, self.members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CatalogEntry(label={self.label!r}, group={self.group!r}, "
+                f"pi={self.pi!r}, u={self.u!r}, J={self.J!r}, "
+                f"automorphism_orders={self.automorphism_orders!r}, "
+                f"family_index={self.family_index!r}, "
+                f"alpha={self.alpha!r}, conditions={self.conditions!r}, "
+                f"in_exceptional_set_s={self.in_exceptional_set_s!r}, "
+                f"members={self.members!r})")
 
     @property
     def a_order(self) -> int:
@@ -306,34 +367,84 @@ def _member_commutator_index(spec: FamilySpec, member, Mv: int):
         "shortcut"
 
 
-@dataclass
 class MemberReport:
-    v: Fraction
-    Mv: int
-    commutator_index: Optional[int]
-    bucket: Optional[str]
-    method: Optional[str]
-    condition: Optional[ConditionResult]
-    error: Optional[str] = None
+    """The classification of one family member."""
+
+    def __init__(self, v: Fraction, Mv: int, commutator_index: int | None,
+                 bucket: str | None, method: str | None,
+                 condition: ConditionResult | None, error: str | None = None):
+        self.v = v
+        self.Mv = Mv
+        self.commutator_index = commutator_index
+        self.bucket = bucket
+        self.method = method
+        self.condition = condition
+        self.error = error
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.v, self.Mv, self.commutator_index, self.bucket,
+                self.method, self.condition, self.error) == \
+            (other.v, other.Mv, other.commutator_index, other.bucket,
+             other.method, other.condition, other.error)
+
+    def __repr__(self):
+        return (f"MemberReport(v={self.v!r}, Mv={self.Mv!r}, "
+                f"commutator_index={self.commutator_index!r}, "
+                f"bucket={self.bucket!r}, method={self.method!r}, "
+                f"condition={self.condition!r}, error={self.error!r})")
 
 
-@dataclass
 class EntryReport:
-    label: str
-    J: RationalMap
-    bucket: Optional[str]
-    commutator_index: Optional[int]
-    g0_level: Optional[int]
-    members: list = field(default_factory=list)
-    error: Optional[str] = None
-    elapsed: float = 0.0
+    """The classification of one catalog entry and of its members."""
+
+    def __init__(self, label: str, J: RationalMap, bucket: str | None,
+                 commutator_index: int | None, g0_level: int | None,
+                 members: list | None = None, error: str | None = None,
+                 elapsed: float = 0.0):
+        self.label = label
+        self.J = J
+        self.bucket = bucket
+        self.commutator_index = commutator_index
+        self.g0_level = g0_level
+        self.members = [] if members is None else members
+        self.error = error
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.J, self.bucket, self.commutator_index,
+                self.g0_level, self.members, self.error, self.elapsed) == \
+            (other.label, other.J, other.bucket, other.commutator_index,
+             other.g0_level, other.members, other.error, other.elapsed)
+
+    def __repr__(self):
+        return (f"EntryReport(label={self.label!r}, J={self.J!r}, "
+                f"bucket={self.bucket!r}, "
+                f"commutator_index={self.commutator_index!r}, "
+                f"g0_level={self.g0_level!r}, members={self.members!r}, "
+                f"error={self.error!r}, elapsed={self.elapsed!r})")
 
 
-@dataclass
 class ClassificationReport:
-    entries: list
-    cap_order: int
-    elapsed: float
+    """The reports of a catalog's entries, with the run's cap and time."""
+
+    def __init__(self, entries: list, cap_order: int, elapsed: float):
+        self.entries = entries
+        self.cap_order = cap_order
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.cap_order, self.elapsed) == \
+            (other.entries, other.cap_order, other.elapsed)
+
+    def __repr__(self):
+        return (f"ClassificationReport(entries={self.entries!r}, "
+                f"cap_order={self.cap_order!r}, elapsed={self.elapsed!r})")
 
     @property
     def had_violations(self) -> bool:
@@ -448,10 +559,30 @@ def classify(entries) -> ClassificationReport:
         reports, group_size_cap(), time.monotonic() - t_start)
 
 
-@dataclass(frozen=True)
 class CurveCheck:
-    kind: str  # "Member" | "NotMember" | "ExcludedJ"
-    witnesses: tuple = ()
+    """The verdict of check_curve: ``kind`` is "Member", "NotMember" or
+    "ExcludedJ"; a member's ``witnesses`` are its rational fiber points."""
+
+    def __init__(self, kind: str, witnesses: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witnesses", witnesses)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.witnesses) == (other.kind, other.witnesses)
+
+    def __hash__(self):
+        return hash((self.kind, self.witnesses))
+
+    def __repr__(self):
+        return f"CurveCheck(kind={self.kind!r}, witnesses={self.witnesses!r})"
 
 
 def check_curve(label: str, j, catalog) -> CurveCheck:

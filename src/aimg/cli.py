@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from .arithcond import eval_condition
 from .classifier import (
@@ -23,7 +22,7 @@ from .classifier import (
 )
 from .errors import AimgError, InvariantViolation, SchemaError, is_json_int, \
     json_list, json_rational, read_json_file
-from .matgroup import _prime_factors
+from .matgroup import _prime_factors, group_size_cap
 from .modgenus import genus
 from .opengroup import (
     OpenSubgroup,
@@ -39,15 +38,14 @@ def _load_group(path) -> OpenSubgroup:
     return OpenSubgroup.from_json_dict(read_json_file(path))
 
 
-def _default_catalog():
-    ref = resources.files("aimg").joinpath("data/sample_catalog.json")
-    return load_catalog(json.loads(ref.read_text()))
+# joined with os.path: importing importlib.resources or pathlib would add
+# milliseconds to every cold start
+_SAMPLE_CATALOG = os.path.join(os.path.dirname(__file__), "data",
+                               "sample_catalog.json")
 
 
 def _catalog_from(args):
-    if args.catalog:
-        return load_catalog(args.catalog)
-    return _default_catalog()
+    return load_catalog(args.catalog or _SAMPLE_CATALOG)
 
 
 def _print_json(obj, fh=None):
@@ -213,9 +211,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     previous = os.environ.get("AIMG_CAP_ORDER")
-    if args.cap_order is not None:
-        os.environ["AIMG_CAP_ORDER"] = str(args.cap_order)
     try:
+        if args.cap_order is not None:
+            os.environ["AIMG_CAP_ORDER"] = str(args.cap_order)
+        group_size_cap()  # a bad cap fails here, before any work
         return args.func(args)
     except InvariantViolation as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,13 +20,11 @@ its dissolve flag are computed when they are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotAHomomorphism, NotEligible
 from .matgroup import (
     AbelianHom,
-    FiniteAbelianGroup,
     FiniteMatrixGroup,
     center,
     derived_subgroup,
@@ -58,7 +56,6 @@ __all__ = [
 NOT_APPLICABLE = None
 
 
-@dataclass
 class FamilySpec:
     """4-tuple (H, G0, A, psi) with A = (Z/MZ)^x and psi = det mod M.
 
@@ -68,11 +65,11 @@ class FamilySpec:
     G0/H against the commutators of G0's generators.
     """
 
-    g0: OpenSubgroup
-    h: OpenSubgroup
-    modulus: int
-    quotient: FiniteAbelianGroup = field(init=False, repr=False)
-    a_group: FiniteAbelianGroup = field(init=False, repr=False)
+    def __init__(self, g0: OpenSubgroup, h: OpenSubgroup, modulus: int):
+        self.g0 = g0
+        self.h = h
+        self.modulus = modulus
+        self.__post_init__()  # perfbench/tracing.py times it by this name
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -83,6 +80,17 @@ class FamilySpec:
         self._h_base = self.h.finite_image(L)
         self.quotient, self._eta = quotient_group(self._g0_base, self._h_base)
         self.a_group = unit_group(self.modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g0, self.h, self.modulus, self.quotient, self.a_group) \
+            == (other.g0, other.h, other.modulus, other.quotient,
+                other.a_group)
+
+    def __repr__(self):
+        return (f"FamilySpec(g0={self.g0!r}, h={self.h!r}, "
+                f"modulus={self.modulus!r})")
 
     def eta(self, elem_tuple):
         """Coset vector in G0/H of an element given mod a multiple of the
@@ -105,15 +113,26 @@ class FamilySpec:
                         minimal_level(self.g0).level)
 
 
-@dataclass
 class FamilyMember:
     """H_phi, presented at the member level Lm (``group``, whose
     mod_level_group() has its order recorded), not at its least level."""
 
-    family: FamilySpec
-    phi: AbelianHom
-    group: OpenSubgroup
-    index_in_g0: int
+    def __init__(self, family: FamilySpec, phi: AbelianHom,
+                 group: OpenSubgroup, index_in_g0: int):
+        self.family = family
+        self.phi = phi
+        self.group = group
+        self.index_in_g0 = index_in_g0
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.phi, self.group, self.index_in_g0) == \
+            (other.family, other.phi, other.group, other.index_in_g0)
+
+    def __repr__(self):
+        return (f"FamilyMember(family={self.family!r}, phi={self.phi!r}, "
+                f"group={self.group!r}, index_in_g0={self.index_in_g0!r})")
 
     @property
     def _eset(self) -> frozenset:
@@ -170,11 +189,23 @@ def build_member(spec: FamilySpec, phi: AbelianHom) -> FamilyMember:
                         index_in_g0=len(trans))
 
 
-@dataclass
 class FamilyEnumeration:
-    members: list
-    # index tuples of members whose groups coincide (classes of size >= 2)
-    duplicate_classes: list
+    """A family's members, one per phi, and ``duplicate_classes``: the
+    index tuples of members whose groups coincide (classes of size >= 2)."""
+
+    def __init__(self, members: list, duplicate_classes: list):
+        self.members = members
+        self.duplicate_classes = duplicate_classes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.members, self.duplicate_classes) == \
+            (other.members, other.duplicate_classes)
+
+    def __repr__(self):
+        return (f"FamilyEnumeration(members={self.members!r}, "
+                f"duplicate_classes={self.duplicate_classes!r})")
 
 
 def enumerate_members(spec: FamilySpec) -> FamilyEnumeration:

@@ -30,7 +30,6 @@ import itertools
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
     NotInvertible,
     NotNormal,
     ResourceExceeded,
+    SchemaError,
 )
 from .modmatrix import TID, ResidueMatrix, tcrt, tdet, tinv, tmul
 
@@ -65,7 +65,20 @@ DEFAULT_CAP = 10 ** 7
 
 
 def group_size_cap() -> int:
-    return int(os.environ.get("AIMG_CAP_ORDER", DEFAULT_CAP))
+    """The cap on the elements a closure may hold: AIMG_CAP_ORDER, or
+    DEFAULT_CAP when it is unset.  SchemaError unless it is a positive
+    integer."""
+    raw = os.environ.get("AIMG_CAP_ORDER")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SchemaError(
+            f"AIMG_CAP_ORDER must be a positive integer, not {raw!r}")
+    return cap
 
 
 _TRIAL_BOUND = 1000
@@ -752,18 +765,38 @@ def is_conjugate_subgroup(A: FiniteMatrixGroup, B: FiniteMatrixGroup):
 # Finite abelian groups
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """A finite abelian group in cyclic-invariant form d1 | d2 | ...
 
     Elements are exponent vectors with respect to the invariant basis.
     When built from a concrete group, ``basis`` holds the concrete basis
     labels and ``log``/``unlog`` translate between labels and vectors.
+    Equality, hashing and the repr see ``invariants`` and ``basis`` only.
     """
 
-    invariants: tuple
-    basis: tuple = ()
-    _log: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, invariants: tuple, basis: tuple = (),
+                 _log: dict | None = None):
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_log", {} if _log is None else _log)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.invariants, self.basis) == (other.invariants, other.basis)
+
+    def __hash__(self):
+        return hash((self.invariants, self.basis))
+
+    def __repr__(self):
+        return (f"FiniteAbelianGroup(invariants={self.invariants!r}, "
+                f"basis={self.basis!r})")
 
     @property
     def order(self) -> int:
@@ -948,26 +981,43 @@ def unit_group(M: int) -> FiniteAbelianGroup:
         units, lambda x, y: (x * y) % M, 1 % M)
 
 
-@dataclass(frozen=True)
 class AbelianHom:
     """Homomorphism between abelian groups in invariant form, given by the
-    images of the cyclic generators."""
+    images of the cyclic generators: ``images`` holds one target vector
+    per source invariant generator, reduced on construction."""
 
-    source: FiniteAbelianGroup
-    target: FiniteAbelianGroup
-    images: tuple  # one target vector per source invariant generator
-
-    def __post_init__(self):
-        reduced = tuple(
-            tuple(a % e for a, e in zip(img, self.target.invariants))
-            for img in self.images)
-        object.__setattr__(self, "images", reduced)
-        for d, img in zip(self.source.invariants, self.images):
-            if any((d * a) % e != 0
-                   for a, e in zip(img, self.target.invariants)):
+    def __init__(self, source: FiniteAbelianGroup, target: FiniteAbelianGroup,
+                 images: tuple):
+        images = tuple(
+            tuple(a % e for a, e in zip(img, target.invariants))
+            for img in images)
+        for d, img in zip(source.invariants, images):
+            if any((d * a) % e != 0 for a, e in zip(img, target.invariants)):
                 raise NotAHomomorphism(
                     f"generator of order {d} mapped to element of "
                     f"incompatible order")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.images) == \
+            (other.source, other.target, other.images)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.images))
+
+    def __repr__(self):
+        return (f"AbelianHom(source={self.source!r}, "
+                f"target={self.target!r}, images={self.images!r})")
 
     def __call__(self, vec):
         out = self.target.identity

@@ -107,7 +107,6 @@ enumerated; ``coset_action`` still builds the explicit permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonIntegralGenus, ResourceExceeded
 from .matgroup import _cosets, _prime_factors, group_size_cap, sl2_order
@@ -117,7 +116,6 @@ from .opengroup import OpenSubgroup, full_sl2, intersect_sl2
 __all__ = ["CosetAction", "GenusData", "coset_action", "genus"]
 
 
-@dataclass(frozen=True)
 class CosetAction:
     """Right-coset action of SL2(Z/N) restricted to S, T and ST.
 
@@ -125,11 +123,36 @@ class CosetAction:
     left-to-right, so ``perm_st[i] == perm_t[perm_s[i]]``.
     """
 
-    modulus: int
-    degree: int
-    perm_s: tuple
-    perm_t: tuple
-    perm_st: tuple
+    def __init__(self, modulus: int, degree: int, perm_s: tuple,
+                 perm_t: tuple, perm_st: tuple):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "perm_s", perm_s)
+        object.__setattr__(self, "perm_t", perm_t)
+        object.__setattr__(self, "perm_st", perm_st)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.modulus, self.degree, self.perm_s, self.perm_t,
+                self.perm_st)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CosetAction(modulus={self.modulus!r}, "
+                f"degree={self.degree!r}, perm_s={self.perm_s!r}, "
+                f"perm_t={self.perm_t!r}, perm_st={self.perm_st!r})")
 
 
 def coset_action(G: OpenSubgroup) -> CosetAction:
@@ -152,13 +175,39 @@ def coset_action(G: OpenSubgroup) -> CosetAction:
     return CosetAction(n, d, perm_s, perm_t, perm_st)
 
 
-@dataclass(frozen=True)
 class GenusData:
-    genus: int
-    degree: int
-    e2: int
-    e3: int
-    e_inf: int
+    """The genus of G's modular curve with its breakdown: the degree d of
+    the map to the j-line, the elliptic points e2 and e3 of orders 2 and
+    3, and the cusps e_inf."""
+
+    def __init__(self, genus: int, degree: int, e2: int, e3: int,
+                 e_inf: int):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "e3", e3)
+        object.__setattr__(self, "e_inf", e_inf)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.genus, self.degree, self.e2, self.e3, self.e_inf)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"GenusData(genus={self.genus!r}, degree={self.degree!r}, "
+                f"e2={self.e2!r}, e3={self.e3!r}, e_inf={self.e_inf!r})")
 
 
 def _fixed_vectors(h: tuple, p: int, k: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import IncompatibleResidues, ModulusMismatch, NotADivisor, NotInvertible
 
@@ -66,24 +66,30 @@ def tcrt(x, m1, y, m2):
 TID = (1, 0, 0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class ResidueMatrix:
-    """A 2x2 matrix [[a, b], [c, d]] over Z/NZ."""
+class ResidueMatrix(tuple):
+    """A 2x2 matrix [[a, b], [c, d]] over Z/NZ.
 
-    modulus: int
-    a: int
-    b: int
-    c: int
-    d: int
+    The value is the tuple (N, a, b, c, d) with the entries reduced mod N
+    once, on construction, so equality, hashing and ordering are those of
+    that tuple.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, a: int, b: int, c: int, d: int):
+        if modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        n = self.modulus
-        object.__setattr__(self, "a", self.a % n)
-        object.__setattr__(self, "b", self.b % n)
-        object.__setattr__(self, "c", self.c % n)
-        object.__setattr__(self, "d", self.d % n)
+        return tuple.__new__(cls, (modulus, a % modulus, b % modulus,
+                                   c % modulus, d % modulus))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    modulus = property(itemgetter(0))
+    a = property(itemgetter(1))
+    b = property(itemgetter(2))
+    c = property(itemgetter(3))
+    d = property(itemgetter(4))
 
     @classmethod
     def identity(cls, modulus: int) -> "ResidueMatrix":
@@ -91,11 +97,11 @@ class ResidueMatrix:
 
     @classmethod
     def from_tuple(cls, t, modulus: int) -> "ResidueMatrix":
-        return cls(modulus, t[0], t[1], t[2], t[3])
+        return cls(modulus, *t)
 
     @property
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return self[1:]
 
     def _check_same_modulus(self, other: "ResidueMatrix"):
         if self.modulus != other.modulus:
@@ -137,14 +143,15 @@ def crt_combine(x: ResidueMatrix, y: ResidueMatrix) -> ResidueMatrix:
         math.lcm(x.modulus, y.modulus))
 
 
-_MATRIX_RE = re.compile(
+# compiled by re on first use, not on import
+_MATRIX_PATTERN = (
     r"^\s*\[\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*,"
     r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*\]\s*mod\s+(\d+)\s*$")
 
 
 def parse_matrix(text: str) -> ResidueMatrix:
     """Parse the literal format ``[[a,b],[c,d]] mod N``."""
-    m = _MATRIX_RE.match(text)
+    m = re.match(_MATRIX_PATTERN, text)
     if m is None:
         raise ValueError(f"not a matrix literal: {text!r}")
     a, b, c, d, n = (int(m.group(i)) for i in range(1, 6))

@@ -11,7 +11,6 @@ GL2(Zhat).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import SchemaError, is_json_int, json_ints, json_list
@@ -71,18 +70,33 @@ def full_sl2(n: int) -> FiniteMatrixGroup:
         sl2_order(n))
 
 
-@dataclass(frozen=True)
 class OpenSubgroup:
-    """Full preimage in GL2(Zhat) of closure(gens) mod level."""
+    """Full preimage in GL2(Zhat) of closure(gens) mod level.
 
-    level: int
-    gens: tuple
+    Immutable, equal and hashed by (level, gens); cached values are
+    written straight into the instance dict."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        for g in self.gens:
-            if g.modulus != self.level:
+    def __init__(self, level: int, gens):
+        gens = tuple(gens)
+        for g in gens:
+            if g.modulus != level:
                 raise ValueError("generator modulus differs from level")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "gens", gens)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.gens) == (other.level, other.gens)
+
+    def __hash__(self):
+        return hash((self.level, self.gens))
 
     @classmethod
     def full(cls) -> "OpenSubgroup":
@@ -201,10 +215,29 @@ def intersect_sl2(G: OpenSubgroup) -> FiniteMatrixGroup:
     return _closed(_Closure(n, schreier))
 
 
-@dataclass(frozen=True)
 class DetImage:
-    modulus: int
-    values: frozenset
+    """det G(m) for m the level of G, as a set of units mod m."""
+
+    def __init__(self, modulus: int, values: frozenset):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.values) == (other.modulus, other.values)
+
+    def __hash__(self):
+        return hash((self.modulus, self.values))
+
+    def __repr__(self):
+        return f"DetImage(modulus={self.modulus!r}, values={self.values!r})"
 
     @property
     def full(self) -> bool:
@@ -286,7 +319,6 @@ def minimal_level(G: OpenSubgroup) -> OpenSubgroup:
 # Commutator engine
 
 
-@dataclass(frozen=True)
 class CommutatorResult:
     """[G, G] at its least level c, as the preimage of its mod-c image
     inside SL2(Zhat), and the exact index [G ∩ SL2(Zhat) : [G, G]].
@@ -294,10 +326,36 @@ class CommutatorResult:
     multiple L of it the index is that of D(L) = [G(L), G(L)] in
     G(L) ∩ SL2."""
 
-    commutator: OpenSubgroup
-    index_in_sl: int
-    saturation_level: int
-    det_full: bool
+    def __init__(self, commutator: OpenSubgroup, index_in_sl: int,
+                 saturation_level: int, det_full: bool):
+        object.__setattr__(self, "commutator", commutator)
+        object.__setattr__(self, "index_in_sl", index_in_sl)
+        object.__setattr__(self, "saturation_level", saturation_level)
+        object.__setattr__(self, "det_full", det_full)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.commutator, self.index_in_sl, self.saturation_level,
+                self.det_full)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CommutatorResult(commutator={self.commutator!r}, "
+                f"index_in_sl={self.index_in_sl!r}, "
+                f"saturation_level={self.saturation_level!r}, "
+                f"det_full={self.det_full!r})")
 
 
 def _part_data(G: OpenSubgroup, L: int):

@@ -13,7 +13,6 @@ values: evaluations, fibers and rational inputs (from_fractions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -143,19 +142,33 @@ def _power_table(n, d, k):
     return [_pmul(npow[i], dpow[k - i]) for i in range(k + 1)]
 
 
-@dataclass(frozen=True)
 class RationalMap:
-    """A rational function num(t)/den(t) in canonical reduced form."""
+    """A rational function num(t)/den(t) in canonical reduced form.
 
-    num: tuple
-    den: tuple
-    provenance: tuple = field(default=None, compare=False, repr=False)
+    Equality and hashing see num and den only, not ``provenance``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "num", tuple(int(c) for c in self.num))
-        object.__setattr__(self, "den", tuple(int(c) for c in self.den))
-        if not self.den or not any(self.den):
+    def __init__(self, num, den, provenance: tuple | None = None):
+        num = tuple(int(c) for c in num)
+        den = tuple(int(c) for c in den)
+        if not den or not any(den):
             raise ZeroInput("denominator is the zero polynomial")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @classmethod
     def reduced(cls, num, den, provenance=None) -> "RationalMap":
@@ -449,18 +462,46 @@ def rational_fibers(f: RationalMap, j):
 # --- the pi_i / pi_{i,v} catalog ---
 
 
-@dataclass(frozen=True)
 class MapCatalogEntry:
     """Symbolic pi_i / pi_{i,v} family maps; coefficients are functions of
-    (alpha, v) returning ascending coefficient lists."""
+    (alpha, v) returning ascending coefficient lists.  Equality and
+    hashing see the first three fields only, not the functions."""
 
-    family_index: int
-    needs_alpha: bool
-    base_degree: int
-    base_num: callable = field(compare=False)
-    base_den: callable = field(compare=False)
-    twisted_num: callable = field(compare=False)
-    twisted_den: callable = field(compare=False)
+    def __init__(self, family_index: int, needs_alpha: bool,
+                 base_degree: int, base_num, base_den, twisted_num,
+                 twisted_den):
+        object.__setattr__(self, "family_index", family_index)
+        object.__setattr__(self, "needs_alpha", needs_alpha)
+        object.__setattr__(self, "base_degree", base_degree)
+        object.__setattr__(self, "base_num", base_num)
+        object.__setattr__(self, "base_den", base_den)
+        object.__setattr__(self, "twisted_num", twisted_num)
+        object.__setattr__(self, "twisted_den", twisted_den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.family_index, self.needs_alpha, self.base_degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MapCatalogEntry(family_index={self.family_index!r}, "
+                f"needs_alpha={self.needs_alpha!r}, "
+                f"base_degree={self.base_degree!r}, "
+                f"base_num={self.base_num!r}, base_den={self.base_den!r}, "
+                f"twisted_num={self.twisted_num!r}, "
+                f"twisted_den={self.twisted_den!r})")
 
 
 FAMILY_MAPS = {

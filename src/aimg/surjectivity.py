@@ -13,8 +13,6 @@ G/[G,G]; here both conditions are checked at a finite truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
 
 from .errors import NotASubgroup, ResourceExceeded
@@ -83,22 +81,19 @@ def quo_disjointness(A: FiniteMatrixGroup, B: FiniteMatrixGroup) -> bool:
     return not (quo_simple_quotients(A) & quo_simple_quotients(B))
 
 
-@dataclass(frozen=True)
 class TruncatedAdelicGroup:
     """Finite truncation of G_M x prod_{l not dividing M} GL2(Z_l).
 
     ``m_part`` lives at modulus M (M = 1 encodes no M-part); each entry of
-    ``prime_parts`` lives at a power of a prime not dividing M.
+    ``prime_parts``, a tuple of FiniteMatrixGroup, lives at a power of a
+    prime not dividing M, and their moduli are pairwise coprime.
     """
 
-    m_part: FiniteMatrixGroup
-    prime_parts: tuple  # of FiniteMatrixGroup, pairwise coprime moduli
-
-    def __post_init__(self):
-        object.__setattr__(self, "prime_parts", tuple(self.prime_parts))
-        m = self.m_part.modulus
+    def __init__(self, m_part: FiniteMatrixGroup, prime_parts):
+        prime_parts = tuple(prime_parts)
+        m = m_part.modulus
         seen = set(_prime_factors(m)) if m > 1 else set()
-        for part in self.prime_parts:
+        for part in prime_parts:
             ps = _prime_factors(part.modulus)
             if len(ps) != 1:
                 raise ValueError("each prime part must live at a prime power")
@@ -106,6 +101,27 @@ class TruncatedAdelicGroup:
             if p in seen:
                 raise ValueError(f"prime {p} appears in two factors")
             seen.add(p)
+        object.__setattr__(self, "m_part", m_part)
+        object.__setattr__(self, "prime_parts", prime_parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m_part, self.prime_parts) == \
+            (other.m_part, other.prime_parts)
+
+    def __hash__(self):
+        return hash((self.m_part, self.prime_parts))
+
+    def __repr__(self):
+        return (f"TruncatedAdelicGroup(m_part={self.m_part!r}, "
+                f"prime_parts={self.prime_parts!r})")
 
     @classmethod
     def with_full_primes(cls, m_part: FiniteMatrixGroup, primes
@@ -131,10 +147,28 @@ class TruncatedAdelicGroup:
         return math.prod(f.order for _, f in self.factors) or 1
 
 
-@dataclass(frozen=True)
 class SurjectivityVerdict:
-    kind: str  # "Surjective" | "FailsProjection" | "FailsAbelianQuotient"
-    factor: object = None  # "M" or the failing prime
+    """``kind`` is "Surjective", "FailsProjection" or
+    "FailsAbelianQuotient"; ``factor`` is "M" or the prime whose
+    projection fails."""
+
+    def __init__(self, kind: str, factor=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "factor", factor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.factor) == (other.kind, other.factor)
+
+    def __hash__(self):
+        return hash((self.kind, self.factor))
 
     def __repr__(self):
         if self.kind == "FailsProjection":

@@ -1,6 +1,5 @@
 """Catalog loading, base-group recovery and the classification pipeline."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
@@ -177,7 +176,14 @@ def test_recover_g0_does_not_depend_on_the_presentation():
     for group in (OpenSubgroup(G.level, (ident,) + G.gens + (ident,)),
                   OpenSubgroup(4, (ident4,) + lifted.gens[::-1]
                                + lifted.gens[:1])):
-        g0 = recover_G0(dataclasses.replace(entry, group=group), cat)
+        moved = entry.__class__(
+            label=entry.label, group=group, pi=entry.pi, u=entry.u,
+            J=entry.J, automorphism_orders=entry.automorphism_orders,
+            family_index=entry.family_index, alpha=entry.alpha,
+            conditions=entry.conditions,
+            in_exceptional_set_s=entry.in_exceptional_set_s,
+            members=entry.members)
+        g0 = recover_G0(moved, cat)
         assert g0.level == base.level
         assert g0.mod_level_group().element_set == \
             base.mod_level_group().element_set
@@ -201,9 +207,10 @@ def test_level_bound_b():
         ResidueMatrix.from_tuple(t, 6)
         for t in ((1, 1, 0, 1), (5, 0, 0, 1), (1, 0, 0, 5))))
     assert minimal_level(borel6).level == 6
-    level6 = dataclasses.replace(
-        entry_no_orders, group=borel6,
-        automorphism_orders=(2, 3, 4, 5, 9, 10))
+    level6 = cat[1].__class__(
+        label="X", group=borel6, pi=cat[1].pi, u=cat[1].u, J=cat[1].J,
+        automorphism_orders=(2, 3, 4, 5, 9, 10), family_index=None,
+        alpha=None, conditions=None, in_exceptional_set_s=False, members=())
     assert level_bound_b(level6) == 72
 
 

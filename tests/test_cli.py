@@ -127,6 +127,26 @@ def test_cap_order_flag(capsys, tmp_path, monkeypatch):
     assert os.environ["AIMG_CAP_ORDER"] == "123456"
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("abc", ()), ("0", ()), ("-3", ()), ("2.5", ()),
+    (None, ("--cap-order", "0")), (None, ("--cap-order", "-3")),
+])
+def test_bad_cap_is_a_schema_error(capsys, tmp_path, monkeypatch, env, argv):
+    # from either source, a cap that is not a positive integer stops the
+    # run before any work, with exit status 1 and no traceback
+    if env is None:
+        monkeypatch.delenv("AIMG_CAP_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("AIMG_CAP_ORDER", env)
+    grp = write_json(tmp_path, "g.json", {"level": 5, "gens": [[1, 1, 0, 1]]})
+    code, out, err = run(capsys, *argv, "genus", "--group", grp)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: SchemaError: AIMG_CAP_ORDER must be a "
+                          "positive integer")
+    assert os.environ.get("AIMG_CAP_ORDER") == env
+
+
 def test_genus_runs_past_the_cap_at_x0_720(capsys, tmp_path):
     # the SL2-part of ±Gamma0(720) has 138,240 elements, past the cap;
     # genus never closes it, and its orbit chain walks 192 points

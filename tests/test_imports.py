@@ -150,17 +150,21 @@ def test_only_matgroup_sets_group_state():
 
 def test_classify_run_leaves_sympy_unloaded(tmp_path):
     """Importing aimg and aimg.cli and classifying the shipped catalog
-    through cli.main loads no sympy module."""
+    through cli.main loads no sympy module, and none of the modules whose
+    import would slow every start: dataclasses (with inspect) and
+    importlib.resources.  The interpreter runs with -S, so that site
+    preloads nothing."""
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "sympy")
     code = (
         "import sys\n"
         "import aimg, aimg.cli\n"
         f"rc = aimg.cli.main(['classify', '--out', {str(tmp_path / 'r.json')!r}])\n"
         "assert rc == 0, rc\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        f"loaded = [m for m in {unwanted!r} if m in sys.modules]\n"
+        "assert not loaded, f'imported {loaded}'\n"
     )
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
