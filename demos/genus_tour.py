@@ -2,20 +2,24 @@
 
 Walks through the genus of the full level-1 curve, congruence subgroups
 +-Gamma(N) for small N, and a census of genus values over all subgroups
-of SL2(Z/8) up to conjugacy.
+of SL2(Z/8) up to conjugacy.  The subgroups are listed by the brute-force
+enumeration in tests/oracle_helpers.py, which the test suite uses as an
+oracle.
 
 Run:  python3 demos/genus_tour.py
 """
 
+import os
+import sys
 from collections import Counter
 
-from aimg import (
-    FiniteMatrixGroup,
-    OpenSubgroup,
-    ResidueMatrix,
+from aimg import FiniteMatrixGroup, OpenSubgroup, ResidueMatrix, genus
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from oracle_helpers import (  # noqa: E402
     all_subgroups_up_to_conjugacy,
-    full_sl2,
-    genus,
+    sl2_elements,
 )
 
 
@@ -36,7 +40,7 @@ def main():
 
     print("== Genus census over subgroups of SL2(Z/8) up to conjugacy ==")
     counts = Counter()
-    for sub in all_subgroups_up_to_conjugacy(full_sl2(8)):
+    for sub in all_subgroups_up_to_conjugacy(sl2_elements(8), 8):
         G = OpenSubgroup.from_group(
             FiniteMatrixGroup.from_elements(sorted(sub), 8))
         counts[genus(G).genus] += 1

@@ -3,16 +3,15 @@ finite GL2 matrix-group algebra, open subgroups of GL2(Zhat), modular-curve
 genus, the family-of-groups construction, an exact rational-function
 calculus, parameter conditions and the adelic surjectivity criterion.
 
-The package level re-exports what the demos and the README example use;
+The package holds what the CLI, ``classify`` and the demos use.  The
+package level re-exports what the demos and the README example use;
 everything else is imported from its module (``aimg.matgroup``,
-``aimg.families``, ...)."""
+``aimg.families``, ...).  Brute-force enumerations that serve only as
+test oracles (subgroups up to conjugacy among them) live in
+``tests/oracle_helpers.py``."""
 
 from .modmatrix import ResidueMatrix
-from .matgroup import (
-    FiniteMatrixGroup,
-    all_subgroups_up_to_conjugacy,
-    sl2_order,
-)
+from .matgroup import FiniteMatrixGroup, sl2_order
 from .opengroup import OpenSubgroup, commutator_open, full_sl2
 from .modgenus import genus
 from .arithcond import (
@@ -32,7 +31,6 @@ __all__ = [
     "FiniteMatrixGroup",
     "OpenSubgroup",
     "ResidueMatrix",
-    "all_subgroups_up_to_conjugacy",
     "classify",
     "commutator_open",
     "eval_condition",

@@ -13,8 +13,8 @@ G0 at the member level, ker chi is generated by the Schreier generators
 over a transversal of im chi, and its order comes from the preimage
 formula, so G0 at the member level is never enumerated.  Members are
 presented at the member level and are not minimized; a consumer that needs
-the least level (commutator_open) computes it.  A member's element set and
-its dissolve flag are computed when they are read.
+the least level (commutator_open) computes it.  A member's element set is
+computed when it is read.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import NotAHomomorphism, NotEligible
+from .errors import NotAHomomorphism
 from .matgroup import (
     AbelianHom,
     FiniteMatrixGroup,
-    center,
-    derived_subgroup,
-    enumerate_homs,
     quotient_group,
     unit_group,
     _schreier,
@@ -43,10 +40,7 @@ from .opengroup import (
 __all__ = [
     "FamilySpec",
     "FamilyMember",
-    "FamilyEnumeration",
     "build_member",
-    "enumerate_members",
-    "check_dissolve",
     "commutator_shortcut",
     "NOT_APPLICABLE",
 ]
@@ -136,16 +130,8 @@ class FamilyMember:
 
     @property
     def _eset(self) -> frozenset:
-        """The member-level element set, for duplicate detection."""
+        """The member-level element set (closes the member)."""
         return self.group.mod_level_group().element_set
-
-    @cached_property
-    def dissolve_eligible(self) -> bool:
-        """chi takes every value already on the center of G0, which forces
-        G0 = H_phi * Z(G0) and hence [H_phi, H_phi] = [G0, G0]."""
-        big = self.family.g0.finite_image(self.family.member_level)
-        return len({_chi(self.family, self.phi, z)
-                    for z in center(big)}) == self.index_in_g0
 
 
 def _chi(spec: FamilySpec, phi: AbelianHom, g):
@@ -166,8 +152,7 @@ def build_member(spec: FamilySpec, phi: AbelianHom) -> FamilyMember:
     formula that finite_image records.
 
     The member's group is presented at Lm with that order and is not
-    minimized.  The element set (``_eset``) and the dissolve flag are
-    computed when they are read.
+    minimized.  The element set (``_eset``) is computed when it is read.
     """
     if phi.source is not spec.a_group and \
             phi.source.invariants != spec.a_group.invariants:
@@ -187,52 +172,6 @@ def build_member(spec: FamilySpec, phi: AbelianHom) -> FamilyMember:
     return FamilyMember(family=spec, phi=phi,
                         group=OpenSubgroup.from_group(kernel),
                         index_in_g0=len(trans))
-
-
-class FamilyEnumeration:
-    """A family's members, one per phi, and ``duplicate_classes``: the
-    index tuples of members whose groups coincide (classes of size >= 2)."""
-
-    def __init__(self, members: list, duplicate_classes: list):
-        self.members = members
-        self.duplicate_classes = duplicate_classes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.members, self.duplicate_classes) == \
-            (other.members, other.duplicate_classes)
-
-    def __repr__(self):
-        return (f"FamilyEnumeration(members={self.members!r}, "
-                f"duplicate_classes={self.duplicate_classes!r})")
-
-
-def enumerate_members(spec: FamilySpec) -> FamilyEnumeration:
-    """One member per homomorphism phi: A -> G0/H, with duplicate groups
-    reported by their phi-indices."""
-    members = [build_member(spec, phi)
-               for phi in enumerate_homs(spec.a_group, spec.quotient)]
-    by_group = {}
-    for i, m in enumerate(members):
-        by_group.setdefault(m._eset, []).append(i)
-    dups = sorted(tuple(v) for v in by_group.values() if len(v) > 1)
-    return FamilyEnumeration(members, dups)
-
-
-def check_dissolve(member: FamilyMember) -> bool:
-    """Verify [H_phi, H_phi] = [G0, G0] at the member level.
-
-    H_phi lies in G0(Lm), so [H_phi, H_phi] is a subgroup of [G0, G0] and
-    the two are equal exactly when their orders are; neither derived
-    subgroup is materialized.
-    """
-    if not member.dissolve_eligible:
-        raise NotEligible("member is not dissolve-eligible")
-    spec = member.family
-    Lm = spec.member_level
-    return (derived_subgroup(member.group.mod_level_group()).order
-            == derived_subgroup(spec.g0.finite_image(Lm)).order)
 
 
 def commutator_shortcut(spec: FamilySpec, member: FamilyMember, Mv: int):

@@ -57,7 +57,6 @@ __all__ = [
     "unit_group",
     "gl2_order",
     "sl2_order",
-    "all_subgroups_up_to_conjugacy",
     "intermediate_subgroups",
 ]
 
@@ -1042,79 +1041,8 @@ def enumerate_homs(A: FiniteAbelianGroup, Q: FiniteAbelianGroup):
 
 
 # ---------------------------------------------------------------------------
-# Subgroup enumeration (desk scale; used by the genus sweep and the
-# base-group recovery search)
-
-
-def all_subgroups_up_to_conjugacy(G: FiniteMatrixGroup):
-    """All subgroups of G up to conjugacy in G, as element frozensets.
-
-    Joins of cyclic subgroups of prime-power order (which generate every
-    subgroup), deduplicated by conjugation inside G.  Exponential in the
-    worst case; meant for ambient orders up to a few hundred (SL2(Z/N),
-    N <= 8).
-    """
-    n = G.modulus
-    gelems = G.elements
-    half = len(gelems) // 2
-
-    cyc_gens = {}    # cyclic subgroup of prime-power order -> a generator
-    for x in gelems:
-        c = frozenset(_Closure(n, [x]).seen)
-        if len(_prime_factors(len(c))) <= 1:
-            cyc_gens.setdefault(c, x)
-    cyclic = sorted(cyc_gens, key=lambda s: (len(s), sorted(s)))
-
-    def canonical(span, gens):
-        """Least conjugate (by sorted element tuple) of the subgroup set
-        ``span``, and its generators ``gens`` conjugated onto it.
-
-        Conjugation by g and by g*h (h in the subgroup) agree, so only
-        one representative per left coset of the subgroup is tried.
-        """
-        best = tuple(sorted(span))
-        covered = set()
-        for g in gelems:
-            if g in covered:
-                continue
-            covered.update(tmul(g, h, n) for h in span)
-            gi = tinv(g, n)
-            c = tuple(sorted(tmul(tmul(g, x, n), gi, n) for x in span))
-            if c < best:
-                best, gens = c, [tmul(tmul(g, x, n), gi, n) for x in gens]
-        return best, gens
-
-    found = {}       # canonical key -> (element set, small generating list)
-    seen_spans = set()   # raw spans already canonicalized
-    queue = deque()
-    for c in cyclic:
-        key, gens = canonical(c, [cyc_gens[c]] if len(c) > 1 else [])
-        if key not in found:
-            found[key] = (frozenset(key), gens)
-            queue.append((frozenset(key), gens))
-        seen_spans.add(c)
-    while queue:
-        h, hgens = queue.popleft()
-        for c in cyclic:
-            if c <= h:
-                continue
-            try:
-                clo = _Closure(n, hgens + [cyc_gens[c]], half)
-            except ResourceExceeded:
-                continue  # over half of G is all of G, added at the end
-            fspan = frozenset(clo.seen)
-            if fspan in seen_spans:
-                continue
-            seen_spans.add(fspan)
-            # the generators are moved onto the canonical conjugate, so
-            # that later joins extend the keyed set itself
-            key, kgens = canonical(fspan, clo.gens)
-            if key not in found:
-                found[key] = (frozenset(key), kgens)
-                queue.append((frozenset(key), kgens))
-    found[tuple(sorted(gelems))] = (frozenset(gelems), [])
-    return sorted((v[0] for v in found.values()),
-                  key=lambda s: (len(s), sorted(s)))
+# Intermediate subgroups (desk scale; used by the base-group recovery
+# search)
 
 
 def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,

@@ -9,7 +9,6 @@ closure algorithms.
 from __future__ import annotations
 
 import math
-import re
 from operator import itemgetter
 
 from .errors import IncompatibleResidues, ModulusMismatch, NotADivisor, NotInvertible
@@ -17,7 +16,6 @@ from .errors import IncompatibleResidues, ModulusMismatch, NotADivisor, NotInver
 __all__ = [
     "ResidueMatrix",
     "crt_combine",
-    "parse_matrix",
 ]
 
 
@@ -142,17 +140,3 @@ def crt_combine(x: ResidueMatrix, y: ResidueMatrix) -> ResidueMatrix:
         tcrt(x.entries, x.modulus, y.entries, y.modulus),
         math.lcm(x.modulus, y.modulus))
 
-
-# compiled by re on first use, not on import
-_MATRIX_PATTERN = (
-    r"^\s*\[\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*,"
-    r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*\]\s*mod\s+(\d+)\s*$")
-
-
-def parse_matrix(text: str) -> ResidueMatrix:
-    """Parse the literal format ``[[a,b],[c,d]] mod N``."""
-    m = re.match(_MATRIX_PATTERN, text)
-    if m is None:
-        raise ValueError(f"not a matrix literal: {text!r}")
-    a, b, c, d, n = (int(m.group(i)) for i in range(1, 6))
-    return ResidueMatrix(n, a, b, c, d)

@@ -6,16 +6,20 @@ can be glued (Goursat), is read off the images of G mod each prime of its
 modulus by Dickson's classification, without enumerating normal
 subgroups.
 
-A closed subgroup H of G = G_M x prod GL2(Z_l) equals G exactly when the
-projections of H onto every factor are onto and H still surjects onto
-G/[G,G]; here both conditions are checked at a finite truncation.
+A closed subgroup H of G = G_M x prod GL2(Z_l) whose factors have
+pairwise disjoint Quo equals G exactly when the projections of H onto
+every factor are onto and H still surjects onto G/[G,G]; here both
+conditions are checked at a finite truncation.  When two factors share a
+simple quotient the criterion cannot conclude H = G, and the check
+raises NotEligible instead of answering.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .errors import NotASubgroup, ResourceExceeded
+from .errors import NotASubgroup, NotEligible, ResourceExceeded
 from .matgroup import (
     FiniteMatrixGroup,
     _Closure,
@@ -63,10 +67,16 @@ def quo_simple_quotients(G: FiniteMatrixGroup) -> set:
     A5 ≅ PSL2(F_5)).
 
     So each P_p is tagged by its order.  Its derived series starts at
-    [G_p, G_p], so G_p itself is never closed.
+    [G_p, G_p], so G_p itself is never closed.  GL2(F_2) and GL2(F_3) are
+    solvable, so p = 2, 3 add nothing, and a G recorded as all of
+    GL2(Z/n) has G_p = GL2(F_p), tagged PSL2(F_p) for every p >= 5, with
+    nothing closed.
     """
+    primes = [p for p in _prime_factors(G.modulus) if p >= 5]
+    if G._order == gl2_order(G.modulus):
+        return {("PSL2", p) for p in primes}
     out = set()
-    for p in _prime_factors(G.modulus):
+    for p in primes:
         P = derived_subgroup(FiniteMatrixGroup(p, G.generator_tuples))
         while (D := derived_subgroup(P)).order < P.order:
             P = D
@@ -201,6 +211,14 @@ def _lattice_index(rows, r) -> int:
 def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     """Decide H = G at the truncation from generators of H.
 
+    The answer is "Surjective" only when the factors' Quo are pairwise
+    disjoint: two factors with a common simple quotient Q can be glued
+    along it (H the fibered product over Q), and then onto projections
+    and the abelian cover do not give H = G.  So once both hold, a shared
+    PSL2(F_p) raises NotEligible naming it and the two factors.
+    "FailsProjection" and "FailsAbelianQuotient" prove H != G whatever
+    the factors share, and are returned first.
+
     H generators are matrices at the combined modulus; an empty list is
     the trivial group.  The check mirrors the criterion: every factor
     projection must be onto, and H must cover the abelianization G/[G,G].
@@ -263,4 +281,14 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
              for j, d in enumerate(invariants)]
     if _lattice_index(rows, len(invariants)) != 1:
         return SurjectivityVerdict("FailsAbelianQuotient")
+
+    # Goursat's hypothesis: no simple quotient shared by two factors
+    quos = [(name, quo_simple_quotients(fac)) for name, fac in G.factors]
+    for (a, qa), (b, qb) in itertools.combinations(quos, 2):
+        if qa & qb:
+            _, p = min(qa & qb)
+            raise NotEligible(
+                f"the {a}- and {b}-factors share the simple quotient "
+                f"PSL2(F_{p}), so onto projections and the abelian cover "
+                f"do not decide H = G")
     return SurjectivityVerdict("Surjective")

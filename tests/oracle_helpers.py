@@ -7,6 +7,7 @@ deliberately avoids the library's own group machinery.
 import functools
 import itertools
 import math
+from collections import deque
 
 
 def mat_mul(x, y, n):
@@ -62,6 +63,82 @@ def mat_inv(x, n):
     di = pow((x[0] * x[3] - x[1] * x[2]) % n, -1, n)
     return ((x[3] * di) % n, (-x[1] * di) % n,
             (-x[2] * di) % n, (x[0] * di) % n)
+
+
+def all_subgroups_up_to_conjugacy(elems, n):
+    """All subgroups of the finite group ``elems`` (tuples mod n) up to
+    conjugacy in it, as element frozensets sorted by (order, elements).
+
+    Every subgroup is a join of cyclic subgroups of prime-power order, so
+    the joins are grown breadth first from the trivial group, one such
+    cyclic subgroup at a time.  Each join is kept as its least conjugate
+    (by sorted element tuple), with its generators conjugated onto it, so
+    that later joins extend the kept set itself.  Conjugation by g and by
+    g*h (h in the subgroup) agree, so one g per left coset is tried.
+    Exponential in the worst case; meant for orders up to a few hundred
+    (SL2(Z/N), N <= 8)."""
+    elems = sorted(elems)
+    cyc_gens = {}    # cyclic subgroup of prime-power order -> a generator
+    for x in elems:
+        c = frozenset(bfs_closure([x], n))
+        if len(prime_support(len(c))) <= 1:
+            cyc_gens.setdefault(c, x)
+    cyclic = sorted(cyc_gens, key=lambda s: (len(s), sorted(s)))
+
+    def canonical(span, gens):
+        best, best_gens = tuple(sorted(span)), gens
+        covered = set()
+        for g in elems:
+            if g in covered:
+                continue
+            covered.update(mat_mul(g, h, n) for h in span)
+            gi = mat_inv(g, n)
+            c = tuple(sorted(mat_mul(mat_mul(g, x, n), gi, n) for x in span))
+            if c < best:
+                best = c
+                best_gens = [mat_mul(mat_mul(g, x, n), gi, n) for x in gens]
+        return best, best_gens
+
+    found = {((1 % n, 0, 0, 1 % n),): []}  # least conjugate -> generators
+    queue = deque(found.items())
+    seen = set()     # joins already canonicalized
+    while queue:
+        key, gens = queue.popleft()
+        for c in cyclic:
+            if c <= set(key):
+                continue
+            joined = gens + [cyc_gens[c]]
+            # a subgroup of more than half the elements is the whole group
+            span = _join(key, joined, n, len(elems) // 2) or frozenset(elems)
+            if span in seen:
+                continue
+            seen.add(span)
+            key2, gens2 = canonical(span, joined)
+            if key2 not in found:
+                found[key2] = gens2
+                queue.append((key2, gens2))
+    return sorted((frozenset(k) for k in found),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def _join(sub, gens, n, cap):
+    """The group generated by ``gens``, which generate the subgroup ``sub``
+    (tuples mod n) and more, as a union of right cosets sub*r (Dimino),
+    or None once it has more than ``cap`` elements.  A union of right
+    cosets of sub that holds r*g for every coset representative r and
+    every generator g is closed under right multiplication by the
+    generators, so it is the group."""
+    span = set(sub)
+    reps = [(1 % n, 0, 0, 1 % n)]
+    for r in reps:
+        for g in gens:
+            y = mat_mul(r, g, n)
+            if y not in span:
+                span.update(mat_mul(h, y, n) for h in sub)
+                if len(span) > cap:
+                    return None
+                reps.append(y)
+    return frozenset(span)
 
 
 def conjugacy_class(x, elems, n):

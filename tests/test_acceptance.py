@@ -27,14 +27,14 @@ from aimg.errors import DegenerateQuartic
 from aimg.families import (
     FamilySpec,
     NOT_APPLICABLE,
+    _chi,
     build_member,
-    check_dissolve,
     commutator_shortcut,
 )
 from aimg.matgroup import (
     FiniteAbelianGroup,
     FiniteMatrixGroup,
-    all_subgroups_up_to_conjugacy,
+    center,
     closure,
     derived_subgroup,
     enumerate_homs,
@@ -42,19 +42,16 @@ from aimg.matgroup import (
 )
 from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
-from aimg.opengroup import (
-    OpenSubgroup,
-    commutator_open,
-    full_gl2,
-    full_sl2,
-)
+from aimg.opengroup import OpenSubgroup, commutator_open, full_gl2
 from aimg.ratfunc import RationalMap, solve_left_factor
 from aimg.surjectivity import TruncatedAdelicGroup, surjectivity_check
 
 from oracle_helpers import (
+    all_subgroups_up_to_conjugacy,
     biquadratic_factor_degrees,
     quad_in_cyclotomic,
     riemann_hurwitz_genus,
+    sl2_elements,
     squarefree_kernel,
 )
 from test_families import conductor_of, member_kernel_oracle, random_specs
@@ -105,7 +102,7 @@ def test_criterion_3_genus_oracle_sweep():
     with criterion(3, 300):
         total = 0
         for N in range(2, 9):
-            for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
+            for sub in all_subgroups_up_to_conjugacy(sl2_elements(N), N):
                 G = OpenSubgroup.from_group(
                     FiniteMatrixGroup.from_elements(sorted(sub), N))
                 assert genus(G).genus == riemann_hurwitz_genus(sub, N), \
@@ -134,8 +131,10 @@ def test_criterion_4_family_laws_randomized():
                 assert big.order % sub.order == 0
                 # kernel law against independent coset arithmetic
                 assert m._eset == member_kernel_oracle(spec, phi)
-                if m.dissolve_eligible:
-                    assert check_dissolve(m)
+                # dissolve: chi takes every value already on the center of
+                # G0, so G0 = H_phi Z(G0) and [H_phi, H_phi] = [G0, G0]
+                if len({_chi(spec, phi, z) for z in center(big)}) == \
+                        m.index_in_g0:
                     assert derived_subgroup(sub).element_set == \
                         derived_subgroup(big).element_set
                     dissolved += 1

@@ -206,6 +206,26 @@ def test_surjectivity_empty_subgroup_fails_projection(capsys, tmp_path):
     assert json.loads(out) == {"verdict": "FailsProjection", "factor": "M"}
 
 
+def test_surjectivity_shared_simple_quotient_is_not_eligible(capsys,
+                                                              tmp_path):
+    # 2.A5 times the scalars mod 11 against SL2(F_5) times the scalars,
+    # and their fibered product over A5 (index 60): no verdict
+    trunc = write_json(tmp_path, "trunc.json", {
+        "m_part": {"level": 11,
+                   "gens": [[1, 8, 8, 10], [7, 3, 4, 5], [2, 0, 0, 2]]},
+        "prime_parts": [{"level": 5, "gens": [[2, 0, 0, 3], [0, 4, 1, 4],
+                                              [2, 0, 0, 2]]}]})
+    sub = write_json(tmp_path, "sub.json", {
+        "level": 55, "gens": [[12, 30, 30, 43], [40, 14, 26, 49],
+                              [46, 0, 0, 46], [12, 0, 0, 12], [21, 0, 0, 21],
+                              [34, 0, 0, 34]]})
+    code, out, err = run(capsys, "surjectivity", "--group", trunc,
+                         "--subgroup", sub)
+    assert (code, out) == (1, "")
+    assert "error: NotEligible" in err and "PSL2(F_5)" in err
+    assert "Traceback" not in err
+
+
 def test_surjectivity_modulus_mismatch(capsys, tmp_path):
     trunc = write_json(tmp_path, "trunc.json", {
         "m_part": {"level": 4,

@@ -1,5 +1,5 @@
-"""Family-of-groups construction: kernel law, dissolve, enumeration and
-the prime-escape shortcut, checked against first-principles oracles."""
+"""Family-of-groups construction: kernel law, dissolve, duplicate members
+and the prime-escape shortcut, checked against first-principles oracles."""
 
 import math
 import random
@@ -8,19 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aimg.classifier import _member_commutator_index
-from aimg.errors import NotAbelian, NotAHomomorphism, NotEligible, NotNormal
+from aimg.errors import NotAbelian, NotAHomomorphism, NotNormal
 from aimg.families import (
     FamilySpec,
     NOT_APPLICABLE,
+    _chi,
     build_member,
-    check_dissolve,
     commutator_shortcut,
-    enumerate_members,
 )
 from aimg.matgroup import (
     AbelianHom,
     FiniteAbelianGroup,
     FiniteMatrixGroup,
+    center,
     closure,
     derived_subgroup,
     enumerate_homs,
@@ -272,18 +272,21 @@ def test_dissolve_eligible_members_dissolve():
     rng = random.Random(29)
     eligible = 0
     for spec in random_specs(rng, 20):
+        Lm = spec.member_level
+        big = spec.g0.finite_image(Lm)
         for phi in enumerate_homs(spec.a_group, spec.quotient):
             m = build_member(spec, phi)
-            if not m.dissolve_eligible:
-                with pytest.raises(NotEligible):
-                    check_dissolve(m)
+            # eligible: chi takes every value already on the center of G0,
+            # so G0 = H_phi Z(G0) and [H_phi, H_phi] = [G0, G0]
+            if len({_chi(spec, phi, z) for z in center(big)}) != \
+                    m.index_in_g0:
                 continue
             eligible += 1
-            assert check_dissolve(m)
+            assert derived_subgroup(m.group.mod_level_group()).order == \
+                derived_subgroup(big).order
             # oracle: commutator closures agree at the member level
-            Lm = spec.member_level
             ms = sorted(m._eset)
-            g0s = spec.g0.finite_image(Lm).elements
+            g0s = big.elements
             def comm_closure(elems):
                 gens = set()
                 rng2 = random.Random(1)
@@ -316,7 +319,7 @@ def test_gl2f3_style_family():
     assert all(img == phi.target.identity for img in phi.images)
 
 
-def test_enumerate_members_duplicates():
+def test_build_member_duplicates():
     # G0 with trivial det image mod M: every phi cuts out the same member
     det1_mod5 = OpenSubgroup(5, tuple(
         RM(t, 5) for t in ((1, 1, 0, 1), (0, 4, 1, 0))))  # SL2(Z/5) preimage
@@ -330,9 +333,10 @@ def test_enumerate_members_duplicates():
     spec = FamilySpec(g0, h, 5)
     assert spec.quotient.invariants == (2,)
     assert spec.a_group.invariants == (4,)
-    enum = enumerate_members(spec)
-    assert len(enum.members) == 2
-    assert enum.duplicate_classes == [(0, 1)]
+    homs = enumerate_homs(spec.a_group, spec.quotient)
+    assert len(homs) == 2
+    a, b = (build_member(spec, phi) for phi in homs)
+    assert a._eset == b._eset
 
 
 def test_build_member_rejects_foreign_phi():

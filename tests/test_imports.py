@@ -1,8 +1,10 @@
 """Every module-level import in the package is used (a stdlib-ast check,
-since no linter is a test dependency), sympy, a test-only oracle, is
-never imported by the package, and only matgroup sets a group's state."""
+since no linter is a test dependency), every exported name exists, sympy,
+a test-only oracle, is never imported by the package, and only matgroup
+sets a group's state."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -43,6 +45,20 @@ def test_no_unused_module_level_imports():
         if names:
             unused[path.name] = names
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def test_every_exported_name_resolves():
+    """Every name in a module's __all__, aimg.__all__ included, is bound
+    on that module, so a deletion cannot leave a stale export behind."""
+    stale = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "aimg" if path.stem == "__init__" else f"aimg.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        if missing:
+            stale[name] = missing
+    assert not stale, f"exported names not defined: {stale}"
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

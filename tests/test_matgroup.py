@@ -15,7 +15,6 @@ from aimg.matgroup import (
     AbelianHom,
     FiniteAbelianGroup,
     FiniteMatrixGroup,
-    all_subgroups_up_to_conjugacy,
     closure,
     derived_subgroup,
     enumerate_homs,
@@ -330,9 +329,9 @@ def subgroup_classes_oracle(elems, n):
 
 def test_subgroups_of_sl2f3_match_brute_force():
     # SL2(F3) subgroups are all 2-generated, so the oracle is exhaustive
-    G = full_sl2(3)
-    classes, conj_class = subgroup_classes_oracle(G.elements, 3)
-    got = all_subgroups_up_to_conjugacy(G)
+    elems = oracle_helpers.sl2_elements(3)
+    classes, conj_class = subgroup_classes_oracle(elems, 3)
+    got = oracle_helpers.all_subgroups_up_to_conjugacy(elems, 3)
     assert len(got) == len(classes) == 7
     # every returned subgroup really is a subgroup and classes are distinct
     reps = {conj_class(s) for s in got}
@@ -342,9 +341,9 @@ def test_subgroups_of_sl2f3_match_brute_force():
 def test_subgroups_of_gl2f3_match_brute_force():
     # GL2(F3) subgroups are 2-generated too; SL2(F3) has index 2 and is
     # reached only as a join of cyclic subgroups
-    G = full_gl2(3)
-    classes, conj_class = subgroup_classes_oracle(G.elements, 3)
-    got = all_subgroups_up_to_conjugacy(G)
+    elems = oracle_helpers.gl2_elements(3)
+    classes, conj_class = subgroup_classes_oracle(elems, 3)
+    got = oracle_helpers.all_subgroups_up_to_conjugacy(elems, 3)
     assert len(got) == len(classes)
     assert {conj_class(s) for s in got} == classes
 

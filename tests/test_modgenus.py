@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aimg import matgroup, modgenus, opengroup
 from aimg.errors import ResourceExceeded
-from aimg.matgroup import FiniteMatrixGroup, all_subgroups_up_to_conjugacy
+from aimg.matgroup import FiniteMatrixGroup
 from aimg.modgenus import (
     _centralizer_orders,
     _class_sums,
@@ -24,6 +24,7 @@ from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, full_sl2
 
 from oracle_helpers import (
+    all_subgroups_up_to_conjugacy,
     bfs_closure,
     conjugacy_class,
     coset_permutations,
@@ -54,7 +55,7 @@ def test_full_level_one():
 def test_genus_sweep_small_levels():
     # N = 7, 8 are covered by the acceptance suite's full sweep
     for N in (2, 3, 4, 5, 6):
-        for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
+        for sub in all_subgroups_up_to_conjugacy(sl2_elements(N), N):
             gd = genus(open_subgroup_of(sub, N))
             assert gd.genus == riemann_hurwitz_genus(sub, N), (N, sorted(sub))
 
@@ -84,7 +85,7 @@ def test_coset_action_shape():
 def test_genus_formula_consistency():
     # e2, e3, e_inf reported by genus() must satisfy the closed formula
     for N in (3, 4, 5):
-        for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
+        for sub in all_subgroups_up_to_conjugacy(sl2_elements(N), N):
             gd = genus(open_subgroup_of(sub, N))
             num = 12 + gd.degree - 3 * gd.e2 - 4 * gd.e3 - 6 * gd.e_inf
             assert num == 12 * gd.genus
@@ -102,7 +103,7 @@ def permutation_breakdown(perm_s, perm_t, perm_st):
 def test_breakdown_matches_coset_permutations():
     # coset_action gives the same permutations as the oracle
     for N in range(1, 7):
-        for sub in all_subgroups_up_to_conjugacy(full_sl2(N)):
+        for sub in all_subgroups_up_to_conjugacy(sl2_elements(N), N):
             perms = coset_permutations(sub, N)
             G = open_subgroup_of(sub, N)
             gd = genus(G)

@@ -14,7 +14,7 @@ from aimg.classifier import CatalogEntry, CurveCheck, MemberData
 from aimg.errors import IncompatibleResidues, NotInvertible
 from aimg.matgroup import AbelianHom, FiniteAbelianGroup
 from aimg.modgenus import CosetAction, GenusData
-from aimg.modmatrix import ResidueMatrix, crt_combine, parse_matrix
+from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import CommutatorResult, DetImage, OpenSubgroup, full_gl2
 from aimg.ratfunc import FAMILY_MAPS, MapCatalogEntry, RationalMap
 from aimg.surjectivity import SurjectivityVerdict, TruncatedAdelicGroup
@@ -84,14 +84,6 @@ def test_crt_combine_non_coprime():
     with pytest.raises(IncompatibleResidues):
         crt_combine(ResidueMatrix.from_tuple((1, 0, 0, 1), 4),
                     ResidueMatrix.from_tuple((0, 0, 0, 1), 6))
-
-
-def test_parse_matrix_roundtrip_and_errors():
-    m = parse_matrix("[[1,2],[3,4]] mod 7")
-    assert m.entries == (1, 2, 3, 4) and m.modulus == 7
-    for bad in ("", "[[1,2],[3]] mod 7", "[[1,2],[3,4]] mod 0", "nonsense"):
-        with pytest.raises(ValueError):
-            parse_matrix(bad)
 
 
 _ENTRIES = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4)

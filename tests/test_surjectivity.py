@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aimg.errors import NotASubgroup
+from aimg import matgroup, opengroup, surjectivity
+from aimg.errors import NotASubgroup, NotEligible
 from aimg.matgroup import FiniteMatrixGroup, closure
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import full_gl2, full_sl2
@@ -122,6 +123,60 @@ def test_quo_of_a_binary_icosahedral_group():
         assert _simple_quotient_orders(gens, 11) == {60}
         assert quo_simple_quotients(FiniteMatrixGroup(11, gens)) == \
             {("PSL2", 5)}
+
+
+def test_quo_of_a_full_gl2_closes_nothing(monkeypatch):
+    # a factor recorded as all of GL2(Z/n) is tagged by the primes of n,
+    # and p = 2, 3 are skipped for any factor, with every closure made to
+    # fail; the derived-series route, on the same generators with no
+    # order recorded, agrees
+    gl35 = full_gl2.__wrapped__(35)
+    want = quo_simple_quotients(FiniteMatrixGroup(35, gl35.generator_tuples))
+    assert want == {("PSL2", 5), ("PSL2", 7)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Quo closed a group")
+
+    for module in (matgroup, opengroup, surjectivity):
+        monkeypatch.setattr(module, "_Closure", refuse)
+    assert quo_simple_quotients(gl35) == want
+    assert quo_simple_quotients(
+        FiniteMatrixGroup(6, full_gl2.__wrapped__(6).generator_tuples)) \
+        == set()
+    assert gl35._elements is None
+
+
+# 2.A5 times the scalars in GL2(F_11), and SL2(F_5) times the scalars: both
+# have the simple quotient A5 = PSL2(F_5)
+A5_11 = FiniteMatrixGroup(11, [RM(t, 11) for t in
+                               ((1, 8, 8, 10), (7, 3, 4, 5), (2, 0, 0, 2))])
+SL5_SCALARS = FiniteMatrixGroup(5, [RM(t, 5) for t in
+                                    ((2, 0, 0, 3), (0, 4, 1, 4), (2, 0, 0, 2))])
+
+
+def test_shared_simple_quotient_is_not_eligible():
+    # H, the fibered product of the two factors over A5, projects onto
+    # both and covers the abelianization, yet has index 60: the criterion
+    # does not apply, and the check says so instead of "Surjective"
+    G = TruncatedAdelicGroup(A5_11, (SL5_SCALARS,))
+    assert (A5_11.order, SL5_SCALARS.order) == (600, 240)
+    assert quo_simple_quotients(A5_11) & quo_simple_quotients(SL5_SCALARS)
+    fibered = [RM(t, 55) for t in
+               ((12, 30, 30, 43), (40, 14, 26, 49), (46, 0, 0, 46),
+                (12, 0, 0, 12), (21, 0, 0, 21), (34, 0, 0, 34))]
+    assert len(bfs_closure([h.entries for h in fibered], 55)) * 60 == \
+        G.order
+    with pytest.raises(NotEligible, match=r"M- and 5-factors .* PSL2\(F_5\)"):
+        surjectivity_check(G, fibered)
+    # all of G is no more decided, since the criterion is silent here
+    whole = [crt_combine(g, RM((1, 0, 0, 1), 5)) for g in A5_11.generators]
+    whole += [crt_combine(RM((1, 0, 0, 1), 11), g)
+              for g in SL5_SCALARS.generators]
+    with pytest.raises(NotEligible):
+        surjectivity_check(G, whole)
+    # a verdict that proves H != G still comes out
+    assert surjectivity_check(G, fibered[:1]) == \
+        SurjectivityVerdict("FailsProjection", "M")
 
 
 def test_quo_disjointness():
