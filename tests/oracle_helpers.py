@@ -122,11 +122,11 @@ def all_subgroups_up_to_conjugacy(elems, n):
 
 
 def _join(sub, gens, n, cap):
-    """The group generated by ``gens``, which generate the subgroup ``sub``
-    (tuples mod n) and more, as a union of right cosets sub*r (Dimino),
-    or None once it has more than ``cap`` elements.  A union of right
-    cosets of sub that holds r*g for every coset representative r and
-    every generator g is closed under right multiplication by the
+    """The group generated by ``gens``, a list that holds generators of
+    the subgroup ``sub`` (tuples mod n), as a union of right cosets sub*r
+    (Dimino), or None once it has more than ``cap`` elements.  A union of
+    right cosets of sub that holds r*g for every coset representative r
+    and every generator g is closed under right multiplication by the
     generators, so it is the group."""
     span = set(sub)
     reps = [(1 % n, 0, 0, 1 % n)]
