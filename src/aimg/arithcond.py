@@ -8,8 +8,10 @@ evaluator.
 
 Everything is exact over int and Fraction: leaf polynomials have integer
 coefficients and are evaluated at v = a/b by homogeneous integer Horner
-(ratfunc._peval).  Integers are factored by the package's one
-factorizer, matgroup._prime_factors.
+(ratfunc._peval).  Only the squarefree tests factor anything, by the
+package's one factorizer, matgroup._prime_factors: squarefree_part
+factors its argument, and quad_cyc_trivial factors M but never the
+radicand.  Rational roots (the cubic leaf) are found q-adically.
 """
 
 from __future__ import annotations
@@ -84,17 +86,32 @@ def quad_cyc_trivial(d, M: int, mode: str = "tower") -> bool:
     (fixed).
 
     Q(sqrt(d)) lies in Q(zeta_m) exactly when the field discriminant
-    divides m; in the tower this becomes a support condition on the
-    primes of M, checked without factoring: the primes of disc lie in
-    those of M exactly when dividing |disc| by gcd(|disc|, M) over and
-    over reaches 1.  Squares give Q(sqrt(d)) = Q, trivially true.
+    divides m, so it lies in neither K when a prime outside M divides
+    the discriminant.  That is read without factoring d: with d = n/b^2
+    and the primes of M divided out of |n|, a rest that is not a square
+    holds a prime outside M to an odd power, which divides the
+    discriminant.  Otherwise d0, the squarefree part of n, is the signed
+    product of the primes of M to an odd power in n; in the tower the
+    primes of disc lie in those of M exactly when dividing |disc| by
+    gcd(|disc|, M) over and over reaches 1.  Squares give Q(sqrt(d)) = Q,
+    trivially true.
     """
     if mode not in ("tower", "fixed"):
         raise ValueError(f"mode must be 'tower' or 'fixed', got {mode!r}")
     if M < 1:
         raise ValueError("M must be positive")
-    d0 = squarefree_part(d)
-    if d0 == 1:
+    d = Fraction(d)
+    if d == 0:
+        raise ZeroInput("0 has no squarefree part")
+    n = d.numerator * d.denominator
+    outside, d0 = abs(n), 1 if n > 0 else -1
+    for p in _prime_factors(M):
+        e = 0
+        while outside % p == 0:
+            outside //= p
+            e += 1
+        d0 *= p ** (e % 2)
+    if math.isqrt(outside) ** 2 != outside or d0 == 1:
         return True
     disc = _field_disc(d0)
     if mode == "fixed":

@@ -112,14 +112,6 @@ def _prime_factors(n: int):
     return f
 
 
-def _divisors(n: int) -> list:
-    """Positive divisors of n >= 1."""
-    out = [1]
-    for p, e in _prime_factors(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return out
-
-
 def _split(n: int):
     """Prime factors, with multiplicity, of n > 1 free of small primes."""
     out, todo = [], [n]

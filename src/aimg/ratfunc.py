@@ -7,11 +7,13 @@ exact division by Gauss's lemma, and a fraction-free linear solver.  A
 RationalMap is a reduced fraction of integer polynomials with the
 denominator's leading coefficient positive and unit joint content, so
 structural equality is equality of functions.  Fraction holds only point
-values: evaluations, fibers and rational inputs (from_fractions).
+values: evaluations, fibers (rational roots, lifted q-adically with nothing
+factored) and rational inputs (from_fractions).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,7 +27,6 @@ from .errors import (
     json_list,
     json_rational,
 )
-from .matgroup import _divisors
 
 __all__ = [
     "INFINITY",
@@ -105,11 +106,11 @@ def _prem(p, q):
 
 
 def _pgcd(p, q):
-    """The primitive gcd of two nonzero integer polynomials, up to sign."""
+    """The primitive gcd of integer polynomials p != 0 and q, up to sign."""
     p, q = _primitive(p), _primitive(q)
-    while q:
+    while len(q) > 1:  # a nonzero constant q leaves the gcd 1
         p, q = q, _primitive(_prem(p, q))
-    return p
+    return q or p
 
 
 def _pexquo(p, g):
@@ -402,39 +403,45 @@ def moebius_equivalent(u: RationalMap, pi2: RationalMap):
 def _rational_roots(coeffs):
     """Rational roots of a polynomial with rational ascending coeffs.
 
-    A root s/d in lowest terms of the integer polynomial p has s | p(0)
-    and d | its leading coefficient, and p = (d x - s) q with q in Z[x]
-    (Gauss's lemma), so d - s divides p(1) and d + s divides p(-1); a
-    candidate failing either is not evaluated."""
+    Besides 0 they are the roots s/d (lowest terms) of the squarefree part
+    f: s | f(0), d | lc f.  At an odd prime q ∤ f(0) lc f where f has only
+    simple roots (all q ∤ f(0) lc f disc f), s/d is one; Newton lifts it to
+    x mod m = q^(2^k), and for m > 2|f(0) lc f| the half extended Euclid on
+    (m, x) finds s/d, the only s'/d' so bounded with m | s' - d' x."""
     p = _trim(coeffs)
     if not p:
         raise ZeroInput("zero polynomial has every rational as a root")
     den = math.lcm(*(c.denominator for c in p))
     p = [int(c * den) for c in p]
-    roots = set()
-    k = 0
+    roots = {Fraction(0)} if p[0] == 0 else set()
     while p[0] == 0:
         p.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    if len(p) == 1:
-        return roots
-    at_one, at_minus_one = sum(p), sum(p[::2]) - sum(p[1::2])
+    g = _pgcd(p, [i * c for i, c in enumerate(p)][1:])
+    f = _pexquo(p, g) if len(g) > 1 else p
+    s_max, lc, desc = abs(f[0]), abs(f[-1]), f[::-1]
 
-    def divides(m, x):
-        return x % m == 0 if m else x == 0
+    def horner(x):  # f(x) and f'(x)
+        v = w = 0
+        for c in desc:
+            w, v = w * x + v, v * x + c
+        return v, w
 
-    dens = _divisors(abs(p[-1]))
-    for num in _divisors(abs(p[0])):
-        for den in dens:
-            if math.gcd(num, den) != 1:
-                continue
-            # s/den is a root iff den^deg p(s/den) vanishes
-            for s in (num, -num):
-                if (divides(den - s, at_one) and divides(den + s, at_minus_one)
-                        and _phom(p, s, den, len(p) - 1) == 0):
-                    roots.add(Fraction(s, den))
+    for q in itertools.count(3, 2):
+        if s_max * lc % q and all(q % r for r in range(3, q, 2)):
+            lifts = [r for r in range(1, q) if horner(r)[0] % q == 0]
+            if all(horner(r)[1] % q for r in lifts):
+                break
+    for x in lifts:
+        m = q
+        while m <= 2 * s_max * lc:  # Newton's step from mod m to mod m^2
+            m *= m
+            v, w = horner(x)
+            x = (x - v * pow(w, -1, m)) % m
+        r0, r1, t0, t1 = m, x, 0, 1
+        while r1 > s_max:  # remainders r_i = t_i x mod m
+            r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+        if abs(t1) <= lc and _phom(f, r1, t1, len(f) - 1) == 0:
+            roots.add(Fraction(r1, t1))
     return roots
 
 

@@ -10,8 +10,9 @@ A closed subgroup H of G = G_M x prod GL2(Z_l) whose factors have
 pairwise disjoint Quo equals G exactly when the projections of H onto
 every factor are onto and H still surjects onto G/[G,G]; here both
 conditions are checked at a finite truncation.  When two factors share a
-simple quotient the criterion cannot conclude H = G, and the check
-raises NotEligible instead of answering.
+simple quotient the criterion cannot conclude H = G: the check then
+counts H when G is within the group-size cap, answering "Surjective" for
+|H| = |G|, and raises NotEligible when |H| < |G| or G is over the cap.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .matgroup import (
     _prime_factors,
     derived_subgroup,
     gl2_order,
+    group_size_cap,
     quotient_group,
     unit_group,
 )
@@ -211,13 +213,17 @@ def _lattice_index(rows, r) -> int:
 def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     """Decide H = G at the truncation from generators of H.
 
-    The answer is "Surjective" only when the factors' Quo are pairwise
-    disjoint: two factors with a common simple quotient Q can be glued
-    along it (H the fibered product over Q), and then onto projections
-    and the abelian cover do not give H = G.  So once both hold, a shared
-    PSL2(F_p) raises NotEligible naming it and the two factors.
-    "FailsProjection" and "FailsAbelianQuotient" prove H != G whatever
-    the factors share, and are returned first.
+    The criterion answers "Surjective" only when the factors' Quo are
+    pairwise disjoint: two factors with a common simple quotient Q can be
+    glued along it (H the fibered product over Q), and then onto
+    projections and the abelian cover do not give H = G.  So once both
+    hold and two factors share a PSL2(F_p), H is counted when
+    |G| <= group_size_cap(): H <= G is checked already, so |H| = |G|
+    gives "Surjective", and a smaller H raises NotEligible naming the
+    quotient, the two factors and the index |G|/|H|.  Past the cap it
+    raises NotEligible without counting.  "FailsProjection" and
+    "FailsAbelianQuotient" prove H != G whatever the factors share, and
+    are returned first.
 
     H generators are matrices at the combined modulus; an empty list is
     the trivial group.  The check mirrors the criterion: every factor
@@ -282,13 +288,19 @@ def surjectivity_check(G: TruncatedAdelicGroup, h_gens) -> SurjectivityVerdict:
     if _lattice_index(rows, len(invariants)) != 1:
         return SurjectivityVerdict("FailsAbelianQuotient")
 
-    # Goursat's hypothesis: no simple quotient shared by two factors
+    # Goursat's hypothesis: no simple quotient shared by two factors;
+    # past it, H = G is decided by counting H when G is under the cap
     quos = [(name, quo_simple_quotients(fac)) for name, fac in G.factors]
     for (a, qa), (b, qb) in itertools.combinations(quos, 2):
         if qa & qb:
             _, p = min(qa & qb)
-            raise NotEligible(
-                f"the {a}- and {b}-factors share the simple quotient "
-                f"PSL2(F_{p}), so onto projections and the abelian cover "
-                f"do not decide H = G")
+            why = (f"the {a}- and {b}-factors share the simple quotient "
+                   f"PSL2(F_{p}), so onto projections and the abelian "
+                   f"cover do not decide H = G")
+            if G.order > group_size_cap():
+                raise NotEligible(why)
+            index = G.order // FiniteMatrixGroup(N, h_gens).order
+            if index == 1:
+                return SurjectivityVerdict("Surjective")
+            raise NotEligible(f"{why}; H has index {index} in G")
     return SurjectivityVerdict("Surjective")

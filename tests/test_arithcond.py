@@ -101,6 +101,47 @@ def test_m2_tower_failures_are_exactly_minus1_pm2():
     assert sorted(failures) == [-2, -1, 2]
 
 
+def _quad_cyc_factorint_oracle(d, M, mode):
+    """quad_cyc_trivial from sympy's factorizations of d and M."""
+    n = d.numerator * d.denominator
+    d0 = 1 if n > 0 else -1
+    for p, e in sympy.factorint(abs(n)).items():
+        d0 *= p ** (e % 2)
+    if d0 == 1:
+        return True
+    disc = d0 if d0 % 4 == 1 else 4 * d0
+    if mode == "fixed":
+        return M % abs(disc) != 0
+    return not set(sympy.factorint(abs(disc))) <= set(sympy.factorint(M))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(a=st.integers(-10 ** 4, 10 ** 4).filter(bool),
+       b=st.integers(1, 10 ** 4), M=st.integers(1, 60),
+       mode=st.sampled_from(("tower", "fixed")))
+def test_quad_cyc_matches_factorint_oracle(a, b, M, mode):
+    d = Fraction(a, b)
+    assert quad_cyc_trivial(d, M, mode) == \
+        _quad_cyc_factorint_oracle(d, M, mode)
+
+
+def test_quad_cyc_factors_only_m(monkeypatch):
+    # p1 p2 with 16-digit primes: only M = 8 may be factored
+    import aimg.arithcond as arithcond
+    prime_factors = arithcond._prime_factors
+
+    def only_m(n):
+        assert n == 8, f"factored {n}"
+        return prime_factors(n)
+
+    monkeypatch.setattr(arithcond, "_prime_factors", only_m)
+    n = 1000000000000037 * 3000000000000037
+    assert quad_cyc_trivial(n, 8)
+    assert quad_cyc_trivial(Fraction(2 * 64, n * n), 8, "fixed") is False
+    with pytest.raises(ZeroInput):
+        quad_cyc_trivial(0, 8)
+
+
 def test_quad_cyc_squares_are_trivial():
     assert quad_cyc_trivial(4, 2)
     assert quad_cyc_trivial(Fraction(9, 16), 2)

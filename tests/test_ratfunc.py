@@ -327,6 +327,10 @@ def test_rational_fibers_matches_sympy():
 
 
 BIG = st.sampled_from([1, 999983, 1000003, 10 ** 6, 2 ** 10 * 3 ** 7])
+# nextprime(k * 10^15) for k = 1, 2, 3, 5, 7
+PRIMES16 = st.sampled_from([1000000000000037, 2000000000000021,
+                            3000000000000037, 5000000000000023,
+                            7000000000000037])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -336,12 +340,21 @@ BIG = st.sampled_from([1, 999983, 1000003, 10 ** 6, 2 ** 10 * 3 ** 7])
                         min_size=1, max_size=3),
        big=st.one_of(st.none(),
                      st.builds(lambda s, a, b: Fraction(s * a, b),
-                               st.sampled_from((1, -1)), BIG, BIG)))
-def test_rational_roots_finds_planted_roots(base, planted, big):
-    # base * prod (den t - num) over the planted roots num/den, one of
-    # them with numerator and denominator up to about 2 * 10^6
-    if big is not None:
-        planted = planted + [big]
+                               st.sampled_from((1, -1)), BIG, BIG)),
+       huge=st.one_of(st.none(),
+                      st.builds(lambda s, p1, p2, b: Fraction(s * p1 * p2, b),
+                                st.sampled_from((1, -1)), PRIMES16, PRIMES16,
+                                st.integers(1, 10 ** 6))),
+       multiplicity=st.integers(1, 3),
+       zero=st.booleans())
+def test_rational_roots_finds_planted_roots(base, planted, big, huge,
+                                            multiplicity, zero):
+    # base * prod (den t - num) over the planted roots num/den, possibly
+    # with one whose numerator and denominator reach about 2 * 10^6, one
+    # whose numerator, a product of two 16-digit primes, is at least
+    # 10^30, and 0; the first planted root has multiplicity up to 3
+    planted = planted + [r for r in (big, huge) if r is not None]
+    planted += [planted[0]] * (multiplicity - 1) + [Fraction(0)] * zero
     poly = list(base)
     for r in planted:
         out = [0] * (len(poly) + 1)
@@ -367,8 +380,8 @@ SMOOTH = st.sampled_from([1, 720, 5040, 2 ** 10 * 3 ** 6 * 5 ** 3])
 def test_rational_roots_match_sympy_on_smooth_coefficients(base, planted,
                                                            scale):
     # planted roots whose numerators and denominators have many divisors,
-    # times a smooth constant, so that most candidates s/d are pruned by
-    # the p(1), p(-1) divisibility tests; sympy's factorization decides
+    # times a smooth constant, so that the squarefree part's roots are
+    # multiple mod many small primes; sympy's factorization decides
     poly = [scale * c for c in base]
     for r in planted:
         out = [0] * (len(poly) + 1)
@@ -400,6 +413,25 @@ def test_family_map_pi1():
     assert base == RationalMap.from_coeffs((0, 0, 1), (1,))
     tw = instantiate(entry, v=Fraction(5))
     assert tw == RationalMap.from_coeffs((0, 0, 5), (1,))
+
+
+def test_rational_fibers_factor_nothing(monkeypatch):
+    # t^2 + 1728 over j = 1728 + t^2 for the two recorded smooth fibers
+    # and t = p1 p2 / 7 with 16-digit primes: the roots come out with the
+    # package's factorizer disabled
+    from aimg import matgroup
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(matgroup, "_prime_factors", refuse)
+    monkeypatch.setattr(matgroup, "_split", refuse)
+    pi = RationalMap.from_coeffs((1728, 0, 1), (1,))
+    for t in (Fraction(2 ** 10 * 3 ** 6 * 5 ** 3, 7 ** 4 * 11 ** 2 * 13 ** 2),
+              Fraction(2 ** 12 * 3 ** 8 * 5 ** 4 * 7 ** 2,
+                       11 ** 3 * 13 ** 3 * 17 ** 2 * 19 ** 2),
+              Fraction(1000000000000037 * 3000000000000037, 7)):
+        assert rational_fibers(pi, 1728 + t * t) == {t, -t}
 
 
 def test_family_map_degenerate_substitution():

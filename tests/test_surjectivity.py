@@ -154,7 +154,7 @@ SL5_SCALARS = FiniteMatrixGroup(5, [RM(t, 5) for t in
                                     ((2, 0, 0, 3), (0, 4, 1, 4), (2, 0, 0, 2))])
 
 
-def test_shared_simple_quotient_is_not_eligible():
+def test_shared_simple_quotient_is_not_eligible(monkeypatch):
     # H, the fibered product of the two factors over A5, projects onto
     # both and covers the abelianization, yet has index 60: the criterion
     # does not apply, and the check says so instead of "Surjective"
@@ -166,13 +166,17 @@ def test_shared_simple_quotient_is_not_eligible():
                 (12, 0, 0, 12), (21, 0, 0, 21), (34, 0, 0, 34))]
     assert len(bfs_closure([h.entries for h in fibered], 55)) * 60 == \
         G.order
-    with pytest.raises(NotEligible, match=r"M- and 5-factors .* PSL2\(F_5\)"):
+    with pytest.raises(NotEligible,
+                       match=r"M- and 5-factors .* PSL2\(F_5\).* index 60"):
         surjectivity_check(G, fibered)
-    # all of G is no more decided, since the criterion is silent here
+    # all of G is decided by counting it, as |G| is under the cap
     whole = [crt_combine(g, RM((1, 0, 0, 1), 5)) for g in A5_11.generators]
     whole += [crt_combine(RM((1, 0, 0, 1), 11), g)
               for g in SL5_SCALARS.generators]
-    with pytest.raises(NotEligible):
+    assert surjectivity_check(G, whole) == SurjectivityVerdict("Surjective")
+    # past the cap, H is not counted and nothing is decided
+    monkeypatch.setenv("AIMG_CAP_ORDER", str(G.order - 1))
+    with pytest.raises(NotEligible, match=r"H = G$"):
         surjectivity_check(G, whole)
     # a verdict that proves H != G still comes out
     assert surjectivity_check(G, fibered[:1]) == \
