@@ -1,12 +1,12 @@
 """Catalog ingestion, the classification pipeline and the curve checker.
 
 A catalog entry carries a group (level + generators), its cover map pi to
-the j-line, the invariant map u of its automorphism group A, family data
-and the v-conditions of the theorem tables.  Classification recovers J
-with J o u = pi, finds the base group G0 of the family, builds the
-v-indexed members and buckets each by the index of its commutator inside
-its SL2-part: index 1 and 2 are the two theorem buckets, everything else
-is excluded.
+the j-line, the invariant map u of its automorphism group A, the base
+group G0 of its family, family data and the v-conditions of the theorem
+tables.  Loading recovers J with J o u = pi and checks the named G0
+against it.  Classification builds the v-indexed members over G0 and
+buckets each by the index of its commutator inside its SL2-part: index 1
+and 2 are the two theorem buckets, everything else is excluded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     AimgError,
     InvariantViolation,
     MissingAutomorphismData,
-    NoMatch,
     SchemaError,
     UnknownLabel,
     is_json_int,
@@ -38,18 +37,13 @@ from .families import (
 )
 from .matgroup import (
     AbelianHom,
-    FiniteMatrixGroup,
     _prime_factors,
     group_size_cap,
-    intermediate_subgroups,
-    is_conjugate_subgroup,
 )
 from .modgenus import genus
 from .opengroup import (
     OpenSubgroup,
     commutator_open,
-    full_sl2,
-    intersect_sl2,
     minimal_level,
     sl_count,
 )
@@ -75,11 +69,14 @@ __all__ = [
     "THEOREM1",
     "THEOREM2",
     "EXCLUDED",
+    "J_LINE",
 ]
 
 THEOREM1 = "Theorem1"
 THEOREM2 = "Theorem2"
 EXCLUDED = "Excluded"
+# the catalog's name for the base GL2(Zhat), whose cover map is t
+J_LINE = "j-line"
 
 
 class MemberData:
@@ -118,14 +115,16 @@ class MemberData:
 
 class CatalogEntry:
     """One catalog row: the group G, the maps pi and u, the recovered J
-    with J o u = pi, and the family data of its members."""
+    with J o u = pi, the family data of its members, and ``base``, the
+    label of the entry whose group is the family's base G0 (J_LINE for
+    GL2(Zhat)), or None when deg u = 1 and the catalog names none."""
 
     def __init__(self, label: str, group: OpenSubgroup, pi: RationalMap,
                  u: RationalMap, J: RationalMap,
                  automorphism_orders: tuple | None,
                  family_index: int | None, alpha: Fraction | None,
                  conditions: VCondition | None, in_exceptional_set_s: bool,
-                 members: tuple):
+                 members: tuple, base: str | None = None):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "pi", pi)
@@ -138,6 +137,7 @@ class CatalogEntry:
         object.__setattr__(self, "in_exceptional_set_s",
                            in_exceptional_set_s)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "base", base)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,7 +148,8 @@ class CatalogEntry:
     def _key(self):
         return (self.label, self.group, self.pi, self.u, self.J,
                 self.automorphism_orders, self.family_index, self.alpha,
-                self.conditions, self.in_exceptional_set_s, self.members)
+                self.conditions, self.in_exceptional_set_s, self.members,
+                self.base)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -165,7 +166,7 @@ class CatalogEntry:
                 f"family_index={self.family_index!r}, "
                 f"alpha={self.alpha!r}, conditions={self.conditions!r}, "
                 f"in_exceptional_set_s={self.in_exceptional_set_s!r}, "
-                f"members={self.members!r})")
+                f"members={self.members!r}, base={self.base!r})")
 
     @property
     def a_order(self) -> int:
@@ -176,7 +177,7 @@ def _parse_entry(raw) -> CatalogEntry:
     if not isinstance(raw, dict) or "label" not in raw:
         raise SchemaError("catalog entry must be an object with a 'label'")
     label = raw["label"]
-    if not isinstance(label, str) or not label:
+    if not isinstance(label, str) or not label or label == J_LINE:
         raise SchemaError(f"bad label: {label!r}")
     where = f"entry {label!r}"
     for key in ("group", "pi", "u"):
@@ -197,6 +198,12 @@ def _parse_entry(raw) -> CatalogEntry:
         raise InvariantViolation(
             label, f"deg pi is {pi.degree}, not the index {gd.degree}")
 
+    base = raw.get("base")
+    if base is None and u.degree > 1:
+        raise SchemaError(f"{where}: deg u is {u.degree}, so 'base' is "
+                          f"required")
+    if base is not None and (not isinstance(base, str) or not base):
+        raise SchemaError(f"{where}: bad base {base!r}")
     orders = raw.get("automorphism_orders")
     if orders is not None:
         orders = json_ints(orders, f"{where} automorphism_orders")
@@ -237,96 +244,80 @@ def _parse_entry(raw) -> CatalogEntry:
         automorphism_orders=orders, family_index=fam_idx, alpha=alpha,
         conditions=conds,
         in_exceptional_set_s=bool(raw.get("in_exceptional_set_s", False)),
-        members=tuple(members))
+        members=tuple(members), base=base)
 
 
 def load_catalog(source) -> list:
     """Load and validate a catalog, from the path of a JSON file or the
     parsed dict.  Each entry's invariants are checked here, once: genus 0,
-    J o u = pi, and deg pi = d, the index of the entry's curve."""
+    J o u = pi, deg pi = d, the index of the entry's curve, and the three
+    checks of _check_base on its named base."""
     data = source if isinstance(source, dict) else read_json_file(source)
     if not isinstance(data, dict) or "entries" not in data:
         raise SchemaError("catalog JSON must be {'entries': [...]}")
     entries = [_parse_entry(raw)
                for raw in json_list(data["entries"], "catalog 'entries'")]
-    seen = set()
+    bases = {J_LINE: (OpenSubgroup.full(), IDENTITY_MAP)}
     for e in entries:
-        if e.label in seen:
+        if e.label in bases:
             raise InvariantViolation(e.label, "duplicate label")
-        seen.add(e.label)
+        bases[e.label] = (e.group, e.pi)
+    for e in entries:
+        if e.base is None:
+            continue
+        if e.base not in bases:
+            raise SchemaError(f"entry {e.label!r}: unknown base {e.base!r}")
+        _check_base(e, *bases[e.base])
     return entries
 
 
-def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
-    """The base group of the family: the G' whose SL2-part sits above the
-    entry's with index |A|, has a genus-0 curve, and whose cover map is
-    equivalent to the quotient by A.
+def _check_base(entry: CatalogEntry, g0: OpenSubgroup, pi0: RationalMap):
+    """InvariantViolation, naming the check, unless the group g0 with
+    cover map pi0 is the base of the entry's family:
 
-    With the cover maps of candidate groups not computable from
-    generators alone, the map check is realized as: when several
-    candidates survive the genus filter, the candidate's map is resolved
-    through the catalog (an entry with the same group up to conjugacy) or
-    the level-1 j-line, and matched against J by Moebius equivalence.
+    - containment: ±G <= ±G0.  At L = lcm of the levels, ±G(L) is
+      generated by its finite_image generators, and ±G0(L) is the full
+      preimage of ±G0 mod its level m0, so each generator is reduced
+      mod m0 and looked up there; only ±G0(m0) is materialized;
+    - index: [±G0 ∩ SL2 : ±G ∩ SL2] = deg u, counted by sl_count at L;
+    - map: J is Moebius-equivalent to pi0 (t for the j-line).
 
-    No candidate repeats: each K comes once, and a kept G' has
-    G' ∩ SL2 = K (K lies in it, and sl_count, which counts G' ∩ SL2
-    without closing it, gives |K|).  K holds -I, so G' has j-cover degree
-    [SL2 : K] = d/|A| = deg J, as load_catalog checked deg pi = d.
-    Of several matches the one of least level, then of least sorted
-    element set at that level, is returned, so the answer does not depend
-    on how the entry's group is presented.
+    With J o u = pi, deg pi = d and the index right, deg J = d / deg u is
+    the degree of X_G0 over the j-line, so the map check compares maps
+    of the same degree.
     """
-    a = entry.a_order
-    if a == 1:
+    G, G0 = entry.group.with_minus_i(), g0.with_minus_i()
+    m0 = G0.level
+    L = math.lcm(G.level, m0)
+    inside = G0.mod_level_group().element_set
+    if any(tuple(x % m0 for x in t) not in inside
+           for t in G.finite_image(L).generator_tuples):
+        raise InvariantViolation(
+            entry.label, f"base {entry.base!r}: containment check failed, "
+                         f"+-G is not in +-G0")
+    index = sl_count(G0, L) // sl_count(G, L)
+    if index != entry.a_order:
+        raise InvariantViolation(
+            entry.label, f"base {entry.base!r}: index check failed, "
+                         f"[+-G0 : +-G] in SL2 is {index}, not deg u = "
+                         f"{entry.a_order}")
+    if moebius_equivalent(entry.J, pi0) is None:
+        raise InvariantViolation(
+            entry.label, f"base {entry.base!r}: map check failed, J is not "
+                         f"Moebius-equivalent to the base's pi")
+
+
+def recover_G0(entry: CatalogEntry, catalog=None) -> OpenSubgroup:
+    """The base group G0 of the entry's family, at its least level: the
+    entry's own group when deg u = 1, GL2(Zhat) for the j-line, and
+    otherwise the group of the catalog entry the base names, which
+    load_catalog checked against this entry (UnknownLabel if the catalog
+    has none).  Nothing is searched."""
+    if entry.a_order == 1:
         return minimal_level(entry.group)
-    N = entry.group.level
-    G = entry.group.with_minus_i()
-    gens = G.mod_level_group().generator_tuples
-    candidates = []
-    for K in intermediate_subgroups(intersect_sl2(G), full_sl2(N), a):
-        Gp = OpenSubgroup.from_group(
-            FiniteMatrixGroup(N, gens + K.generator_tuples))
-        if sl_count(Gp, N) != K.order:
-            continue
-        cand = minimal_level(Gp)
-        if genus(cand).genus != 0:
-            continue
-        candidates.append(cand)
-    if not candidates:
-        raise NoMatch(f"{entry.label}: no supergroup matches u")
-    if len(candidates) == 1:
-        return candidates[0]
-    # disambiguate through resolvable cover maps
-    matches = []
-    for c in candidates:
-        pi_c = _resolve_cover_map(c, catalog)
-        if pi_c is None:
-            continue
-        if moebius_equivalent(entry.J, pi_c) is not None:
-            matches.append(c)
-    if not matches:
-        raise NoMatch(f"{entry.label}: {len(candidates)} candidates, none "
-                      f"with a resolvable map equivalent to J")
-    matches.sort(key=lambda c: (c.level,
-                                sorted(c.mod_level_group().element_set)))
-    return matches[0]
-
-
-def _resolve_cover_map(G: OpenSubgroup, catalog):
-    """pi_G when known: the j-line for the full group, else a catalog
-    entry with the same group up to conjugacy."""
-    if G.level == 1:
-        return IDENTITY_MAP
-    if catalog:
-        for e in catalog:
-            other = e.group
-            if other.level != G.level:
-                continue
-            same, _ = is_conjugate_subgroup(
-                G.mod_level_group(), other.mod_level_group())
-            if same:
-                return e.pi
-    return None
+    if entry.base == J_LINE:
+        return OpenSubgroup.full()
+    return minimal_level(find_entry(catalog or (), entry.base).group)
 
 
 def level_bound_b(entry: CatalogEntry) -> int:

@@ -157,10 +157,6 @@ class InvariantViolation(AimgError):
         self.which = which
 
 
-class NoMatch(AimgError):
-    pass
-
-
 class MissingAutomorphismData(AimgError):
     pass
 

@@ -52,7 +52,6 @@ __all__ = [
     "derived_subgroup",
     "normal_closure",
     "center",
-    "is_conjugate_subgroup",
     "enumerate_homs",
     "unit_group",
     "gl2_order",
@@ -725,33 +724,6 @@ def center(G: FiniteMatrixGroup):
             if all(tmul(x, g, n) == tmul(g, x, n) for g in gens)]
 
 
-def _invertible_tuples(n: int):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if math.gcd((a * d - b * c) % n, n) == 1:
-                        yield (a, b, c, d)
-
-
-def is_conjugate_subgroup(A: FiniteMatrixGroup, B: FiniteMatrixGroup):
-    """Whether gAg^-1 = B for some g in GL2(Z/N); returns (bool, witness)."""
-    if A.modulus != B.modulus:
-        raise ModulusMismatch("subgroups live over different moduli")
-    n = A.modulus
-    if A.order != B.order:
-        return False, None
-    if A.element_set == B.element_set:
-        return True, ResidueMatrix.identity(n)
-    agens = A.generator_tuples
-    bset = B.element_set
-    for g in _invertible_tuples(n):
-        gi = tinv(g, n)
-        if all(tmul(tmul(g, a, n), gi, n) in bset for a in agens):
-            return True, ResidueMatrix.from_tuple(g, n)
-    return False, None
-
-
 # ---------------------------------------------------------------------------
 # Finite abelian groups
 
@@ -1033,10 +1005,10 @@ def enumerate_homs(A: FiniteAbelianGroup, Q: FiniteAbelianGroup):
 
 
 # ---------------------------------------------------------------------------
-# Intermediate subgroups (desk scale; used by the base-group recovery
-# search)
+# Intermediate subgroups (desk scale)
 
 
+# No caller in the package: kept only because perfbench/tracing.py binds it.
 def intermediate_subgroups(H: FiniteMatrixGroup, G: FiniteMatrixGroup,
                            index_over_h: int):
     """Subgroups S with H <= S <= G and [S : H] = index_over_h.

@@ -419,9 +419,10 @@ def genus(G: OpenSubgroup) -> GenusData:
 
     g = 1 + d/12 - e2/4 - e3/3 - eInf/2 where e2, e3 count the cosets of
     the SL2-part H of ±G fixed by S and ST and eInf counts T-orbits (cusps).
-    ±G is G.with_minus_i(), as in coset_action and recover_G0.  H is not
-    closed: its order and its elements of trace 0, 1 or 2 come from the
-    orbit chain of ±G on the primitive vectors (_orbit_chain), and
+    ±G is G.with_minus_i(), as in coset_action and the catalog's base
+    check (classifier._check_base).  H is not closed: its order and its
+    elements of trace 0, 1 or 2 come from the orbit chain of ±G on the
+    primitive vectors (_orbit_chain), and
 
         e2 = |C(S)| #{h in H : h ~ S} / |H|,
         e3 = |C(ST)| #{h in H : h ~ ST} / |H|,

@@ -285,6 +285,15 @@ def transpose_group(G: OpenSubgroup) -> OpenSubgroup:
         G.mod_level_group()._order))
 
 
+def _divisors(n: int) -> list:
+    """The divisors of n, in increasing order, built from its prime
+    factorization, so the work grows with their number and not with n."""
+    divs = [1]
+    for p, e in _prime_factors(n).items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def _least_level(grp: FiniteMatrixGroup, ambient_order) -> FiniteMatrixGroup:
     """The image of grp at the least d | n, n its modulus, such that grp
     is the full preimage of that image in the ambient group mod n (GL2 or
@@ -295,7 +304,7 @@ def _least_level(grp: FiniteMatrixGroup, ambient_order) -> FiniteMatrixGroup:
     A d whose kernel order does not divide |grp| is skipped unclosed.
     """
     n = grp.modulus
-    for d in (d for d in range(1, n) if n % d == 0):
+    for d in _divisors(n)[:-1]:
         kernel = ambient_order(n) // ambient_order(d)
         if grp.order % kernel:
             continue

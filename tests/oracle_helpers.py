@@ -1,7 +1,9 @@
 """Independent oracles shared by the module tests and the acceptance suite.
 
 Everything here is written from first principles on integer tuples and
-deliberately avoids the library's own group machinery.
+deliberately avoids the library's own group machinery, bar
+``base_group_search``: the base-group search the classifier ran before
+catalogs named each family's base, kept as the oracle for those names.
 """
 
 import functools
@@ -406,3 +408,33 @@ def biquadratic_factor_degrees(p, q):
 def _fr_sqrt(r):
     from fractions import Fraction
     return Fraction(math.isqrt(r.numerator), math.isqrt(r.denominator))
+
+
+def base_group_search(G, a):
+    """Every candidate base of a family over the open subgroup G whose
+    automorphism group has order a, at its least level: G' = <±G, K> for
+    each K with ±G ∩ SL2 <= K <= SL2(Z/N) of index a (N the level of G),
+    kept when G' ∩ SL2 = K and X_G' has genus 0.  The named base of a
+    catalog entry is one of them.
+
+    This is the classifier's old search, less its tie-break through the
+    catalog's cover maps; it runs on the library's group engine.
+    """
+    from aimg.matgroup import FiniteMatrixGroup, intermediate_subgroups
+    from aimg.modgenus import genus
+    from aimg.opengroup import (
+        OpenSubgroup, full_sl2, intersect_sl2, minimal_level, sl_count)
+
+    N = G.level
+    G = G.with_minus_i()
+    gens = G.mod_level_group().generator_tuples
+    candidates = []
+    for K in intermediate_subgroups(intersect_sl2(G), full_sl2(N), a):
+        Gp = OpenSubgroup.from_group(
+            FiniteMatrixGroup(N, gens + K.generator_tuples))
+        if sl_count(Gp, N) != K.order:
+            continue
+        cand = minimal_level(Gp)
+        if genus(cand).genus == 0:
+            candidates.append(cand)
+    return candidates

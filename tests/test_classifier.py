@@ -1,6 +1,10 @@
-"""Catalog loading, base-group recovery and the classification pipeline."""
+"""Catalog loading, the named base groups and the classification
+pipeline."""
 
+import copy
 import json
+import math
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -10,6 +14,8 @@ from aimg.classifier import (
     EXCLUDED,
     THEOREM1,
     THEOREM2,
+    CatalogEntry,
+    _check_base,
     check_curve,
     classify,
     level_bound_b,
@@ -25,7 +31,9 @@ from aimg.errors import (
 from aimg.matgroup import unit_group
 from aimg.modmatrix import ResidueMatrix
 from aimg.opengroup import OpenSubgroup, minimal_level
-from aimg.ratfunc import INFINITY, RationalMap
+from aimg.ratfunc import IDENTITY_MAP, INFINITY, RationalMap
+
+import oracle_helpers
 
 
 def sample_catalog():
@@ -182,11 +190,187 @@ def test_recover_g0_does_not_depend_on_the_presentation():
             family_index=entry.family_index, alpha=entry.alpha,
             conditions=entry.conditions,
             in_exceptional_set_s=entry.in_exceptional_set_s,
-            members=entry.members)
+            members=entry.members, base=entry.base)
         g0 = recover_G0(moved, cat)
         assert g0.level == base.level
         assert g0.mod_level_group().element_set == \
             base.mod_level_group().element_set
+
+
+# +-Gamma0(2), whose curve X0(2) has a Hauptmodul s with
+# j = 256 (1 - s)^3 / s^2, and +-Gamma(2), whose lambda-line covers it by
+# s = lambda (1 - lambda): 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2) is that
+# j-map composed with s, and the automorphism l -> 1 - l has invariant s
+X0_2 = {
+    "label": "X0(2)", "group": {"level": 2, "gens": [[1, 1, 0, 1]]},
+    "pi": {"num": [256, -768, 768, -256], "den": [0, 0, 1]},
+    "u": {"num": [0, 1], "den": [1]},
+}
+X_2 = {
+    "label": "X(2)", "group": {"level": 2, "gens": []},
+    "pi": {"num": [256, -768, 1536, -1792, 1536, -768, 256],
+           "den": [0, 0, 1, -2, 1]},
+    "u": {"num": [0, 1, -1], "den": [1]},
+    "base": "X0(2)",
+}
+
+
+def level2_raw():
+    raw = sample_raw()
+    raw["entries"] += [copy.deepcopy(X0_2), copy.deepcopy(X_2)]
+    return raw
+
+
+def same_group(G, H):
+    """G and H are the same open subgroup: equal images at the lcm of
+    their levels, by the brute-force preimage."""
+    L = math.lcm(G.level, H.level)
+    return (oracle_helpers.preimage([g.entries for g in G.gens], G.level, L)
+            == oracle_helpers.preimage([g.entries for g in H.gens], H.level,
+                                       L))
+
+
+def test_named_base_above_level_one():
+    cat = load_catalog(level2_raw())
+    entry = cat[3]
+    assert entry.base == "X0(2)"
+    assert entry.J == RationalMap.from_coeffs((256, -768, 768, -256),
+                                              (0, 0, 1))
+    g0 = recover_G0(entry, cat)
+    assert g0.level == 2
+    assert same_group(g0, cat[2].group)
+    # the old search finds the three Borel subgroups mod 2, which are
+    # conjugate; the named one is among them
+    found = oracle_helpers.base_group_search(entry.group, 2)
+    assert len(found) == 3
+    assert any(same_group(g0, c) for c in found)
+    (rep,) = [r for r in classify(cat).entries if r.label == "X(2)"]
+    assert rep.error is None and rep.g0_level == 2
+
+
+def test_named_base_at_levels_that_do_not_divide():
+    # the base given at level 4 and the entry at level 6: the containment
+    # check reduces the entry's mod-12 generators mod 4
+    raw = level2_raw()
+    for entry, level in ((raw["entries"][2], 4), (raw["entries"][3], 6)):
+        group = OpenSubgroup.from_json_dict(entry["group"])
+        entry["group"] = OpenSubgroup.from_group(
+            group.finite_image(level)).to_json_dict()
+    cat = load_catalog(raw)
+    assert same_group(recover_G0(cat[3], cat), cat[2].group)
+
+
+def test_oracle_finds_the_sample_bases():
+    cat = sample_catalog()
+    for entry in cat:
+        (found,) = oracle_helpers.base_group_search(entry.group,
+                                                    entry.a_order)
+        assert same_group(found, recover_G0(entry, cat))
+    assert cat[1].base == "j-line"
+
+
+def _upper(M):
+    return lambda t: t[2] % M == 0
+
+
+def _gamma1(M):
+    return lambda t: t[2] % M == 0 and t[0] % M == 1 % M
+
+
+def _diagonal1(M):
+    # Gamma(M) with every determinant: diag(1, d) mod M
+    return lambda t: t[1] % M == t[2] % M == 0 and t[0] % M == 1 % M
+
+
+# (N, G, G0): G <= G0 at level N, given by membership tests mod N; each
+# G has every determinant, as the group of a curve over Q does
+HAND_BUILT_PAIRS = {
+    "D1(2)<X0(2)": (2, _diagonal1(2), _upper(2)),
+    "D1(3)<X0(3)": (3, _diagonal1(3), _upper(3)),
+    "X0(4)<j": (4, _upper(4), lambda t: True),
+    "X1(5)<X0(5)": (5, _gamma1(5), _upper(5)),
+    "X0(6)<X0(2)": (6, _upper(6), _upper(2)),
+    "X1(7)<X0(7)": (7, _gamma1(7), _upper(7)),
+    "X1(8)<X0(8)": (8, _gamma1(8), _upper(8)),
+    "X1(9)<X0(9)": (9, _gamma1(9), _upper(9)),
+    "X1(10)<X0(10)": (10, _gamma1(10), _upper(10)),
+    "X1(12)<X0(12)": (12, _gamma1(12), _upper(12)),
+    "X0(12)<X0(4)": (12, _upper(12), _upper(4)),
+}
+
+
+def _generated(elements, N, rng):
+    """A few elements of a set of tuples mod N that generate it, checked
+    by BFS."""
+    elements = sorted(elements)
+    gens = []
+    while oracle_helpers.bfs_closure(gens, N) != set(elements):
+        gens.append(rng.choice(elements))
+    return OpenSubgroup(N, [ResidueMatrix.from_tuple(g, N) for g in gens])
+
+
+@pytest.mark.parametrize("pair", list(HAND_BUILT_PAIRS))
+def test_oracle_finds_hand_built_bases(pair):
+    N, in_G, in_G0 = HAND_BUILT_PAIRS[pair]
+    rng = random.Random(N)
+    gl2 = oracle_helpers.gl2_elements(N)
+    minus = (N - 1, 0, 0, N - 1)
+    G_set = {t for t in gl2 if in_G(t)}
+    G0_set = {t for t in gl2 if in_G0(t)}
+    assert G_set <= G0_set and minus in G0_set
+    G = _generated(G_set, N, rng)
+    G0 = _generated(G0_set, N, rng)
+    # a = [+-G0 cap SL2 : +-G cap SL2], counted by brute force
+    pm_G = G_set | {oracle_helpers.mat_mul(minus, t, N) for t in G_set}
+    sl = [sum((t[0] * t[3] - t[1] * t[2]) % N == 1 % N for t in S)
+          for S in (G0_set, pm_G)]
+    a = sl[0] // sl[1]
+    assert a > 1
+    found = oracle_helpers.base_group_search(G, a)
+    assert any(same_group(G0, c) for c in found)
+    # every group the search finds passes the load's group checks, and G
+    # itself, of index 1 over G, fails the index check
+    entry = CatalogEntry("X", G, IDENTITY_MAP,
+                         RationalMap.from_coeffs((0,) * a + (1,), (1,)),
+                         IDENTITY_MAP, None, None, None, None, False, (),
+                         base="B")
+    for c in found:
+        _check_base(entry, c, IDENTITY_MAP)
+    with pytest.raises(InvariantViolation, match="index check"):
+        _check_base(entry, G, IDENTITY_MAP)
+
+
+BASE_EDITS = {
+    # [SL2 : +-Gamma(2) cap SL2] = 6, not deg u = 2
+    "index, j-line": (lambda es: es[3].update(base="j-line"),
+                      InvariantViolation, "index check"),
+    # [+-G : +-G] = 1, not deg u = 2
+    "index, itself": (lambda es: es[1].update(base="2A-2A"),
+                      InvariantViolation, "index check"),
+    # the order-3 generator of 2A-2A is not upper triangular mod 2
+    "containment": (lambda es: es[1].update(base="X0(2)"),
+                    InvariantViolation, "containment check"),
+    # t^3 + 1728 has one pole and J = 256 (1 - t)^3 / t^2 two
+    "map": (lambda es: es[2].update(pi={"num": [1728, 0, 0, 1],
+                                        "den": [1]}),
+            InvariantViolation, "map check"),
+    "unknown label": (lambda es: es[1].update(base="2B-2B"),
+                      SchemaError, "unknown base"),
+    "missing": (lambda es: es[1].pop("base"), SchemaError, "required"),
+    "not a string": (lambda es: es[1].update(base=2), SchemaError,
+                     "bad base"),
+    "reserved label": (lambda es: es[2].update(label="j-line"),
+                       SchemaError, "bad label"),
+}
+
+
+@pytest.mark.parametrize("edit", list(BASE_EDITS))
+def test_mutated_base_fails_to_load(edit):
+    raw = level2_raw()
+    change, error, match = BASE_EDITS[edit]
+    change(raw["entries"])
+    with pytest.raises(error, match=match):
+        load_catalog(raw)
 
 
 def test_level_bound_b():

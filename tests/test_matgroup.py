@@ -19,7 +19,6 @@ from aimg.matgroup import (
     derived_subgroup,
     enumerate_homs,
     intermediate_subgroups,
-    is_conjugate_subgroup,
     normal_closure,
     quotient_group,
     unit_group,
@@ -377,25 +376,6 @@ def test_intermediate_subgroups_match_single_extensions():
                        for K in intermediate_subgroups(H, full_sl2(N), a)]
                 assert len(set(got)) == len(got)
                 assert set(got) == want
-
-
-def test_is_conjugate_subgroup():
-    G = full_sl2(5)
-    elems = G.elements
-    rng = random.Random(19)
-    a = closure([ResidueMatrix.from_tuple((1, 1, 0, 1), 5)])
-    g = rng.choice(elems)
-    gi = inv_oracle(g, 5)
-    conj = FiniteMatrixGroup.from_elements(
-        [mul(mul(g, x, 5), gi, 5) for x in a.elements], 5)
-    ok, witness = is_conjugate_subgroup(a, conj)
-    assert ok
-    w = witness.entries
-    wi = inv_oracle(w, 5)
-    assert {mul(mul(w, x, 5), wi, 5) for x in a.elements} == conj.element_set
-    b = closure([ResidueMatrix.from_tuple((2, 0, 0, 3), 5)])
-    ok, witness = is_conjugate_subgroup(a, b)
-    assert not ok and witness is None
 
 
 # --- normal closures through the congruence layers, against BFS ---

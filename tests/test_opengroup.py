@@ -19,6 +19,7 @@ from aimg.modgenus import genus
 from aimg.modmatrix import ResidueMatrix, crt_combine
 from aimg.opengroup import (
     OpenSubgroup,
+    _divisors as divisor_walk,
     _full_factor_commutator,
     commutator_open,
     det_image,
@@ -138,6 +139,14 @@ def test_least_level_presentation_drops_identities_and_repeats():
     # the kernel generators I + 2E_ij of the level-4 image are I mod 2
     lifted = OpenSubgroup.from_group(A3_PREIMAGE.finite_image(4))
     assert minimal_level(lifted).gens == A3_PREIMAGE.gens
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10 ** 4))
+def test_divisor_walk_matches_the_scan(n):
+    # _least_level walks these divisors without the last, n; it used to
+    # scan range(1, n) for them, as the oracle _divisors below does
+    assert divisor_walk(n) == _divisors(n)
 
 
 def test_det_image_and_sl2_part():
